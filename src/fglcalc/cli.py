@@ -215,13 +215,23 @@ def _parse_blocks(spec: str):
     return blocks
 
 
+def _rational_arg(text: str, flag: str) -> Fraction:
+    """A rational from argv; malformed text or a zero denominator is
+    bad input for the named flag."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: {text!r} is not a rational number") from None
+
+
 def _theta_from_coeffs(ring, coeffs: str, trunc: int) -> MultiSeries:
     """x + c2 x^2 + c3 x^3 + ... from a comma list of rationals."""
     ctx = series(ring, (X,), trunc)
     th = ctx.var(X)
     if coeffs:
         for j, c in enumerate(coeffs.split(","), start=2):
-            fr = Fraction(c.strip())
+            fr = _rational_arg(c, "--theta")
             if j <= trunc:
                 th = th + ctx.var(X) ** j * ctx.const(ring.from_fraction(fr))
     return th
@@ -263,14 +273,14 @@ def _tate_group(artin: str, law_name: str, trunc: int = 8) -> TateGroup:
     return TateGroup(law, qhat)
 
 
-def _parse_tate_point(group: TateGroup, token: str) -> TatePoint:
+def _parse_tate_point(group: TateGroup, token: str, flag: str) -> TatePoint:
     g_text, a_text = token.split(",")
     ring = group.law.ring
     coeff = int(g_text)
     g = ring.wrap(
         {(1,): ring.base.from_int(coeff)} if coeff else {}
     )
-    return group.point(g, Fraction(a_text))
+    return group.point(g, _rational_arg(a_text, flag))
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +371,7 @@ def _cmd_theta(a) -> tuple[int, dict]:
 
 def _cmd_sigma(a) -> tuple[int, dict]:
     if a.modified is not None:
-        el = sigma_modified(Fraction(a.modified), a.qorder)
+        el = sigma_modified(_rational_arg(a.modified, "--modified"), a.qorder)
     else:
         el = sigma_series(a.qorder)
     return 0, element_document(el)
@@ -370,8 +380,8 @@ def _cmd_sigma(a) -> tuple[int, dict]:
 def _cmd_tate(a) -> tuple[int, dict]:
     group = _tate_group(a.artin, a.law)
     if a.action == "mul":
-        x = _parse_tate_point(group, a.x)
-        y = _parse_tate_point(group, a.y)
+        x = _parse_tate_point(group, a.x, "--x")
+        y = _parse_tate_point(group, a.y, "--y")
         z = group.mul(x, y)
         return 0, {
             "kind": "report",
@@ -379,7 +389,7 @@ def _cmd_tate(a) -> tuple[int, dict]:
             "a": str(z.a),
         }
     if a.action == "inv":
-        x = _parse_tate_point(group, a.x)
+        x = _parse_tate_point(group, a.x, "--x")
         z = group.inv(x)
         return 0, {
             "kind": "report",
@@ -387,7 +397,7 @@ def _cmd_tate(a) -> tuple[int, dict]:
             "a": str(z.a),
         }
     if a.action == "order":
-        x = _parse_tate_point(group, a.x)
+        x = _parse_tate_point(group, a.x, "--x")
         n = group.torsion_order(x)
         return 0, {"kind": "report", "order": n}
     if a.action == "exact-seq":
@@ -442,7 +452,7 @@ def _cmd_genus(a) -> tuple[int, dict]:
         Q = ctx.zero()
         for j, c in enumerate(a.coeffs.split(",")):
             if j <= Q.trunc:
-                Q = Q + ctx.var(X) ** j * ctx.const(Fraction(c.strip()))
+                Q = Q + ctx.var(X) ** j * ctx.const(_rational_arg(c, "--coeffs"))
         v = genus_eval(Xd, Q)
         return 0, element_document(v)
     if a.action == "rr-check":
@@ -468,7 +478,7 @@ def _cmd_genus(a) -> tuple[int, dict]:
         ok = loop_vs_quotient_check(Xd, ctx, a.N, trust=trust)
         return (0 if ok else 1), {"kind": "report", "ok": ok}
     if a.action == "chi":
-        v = chi_residue(Xd, Fraction(a.r))
+        v = chi_residue(Xd, _rational_arg(a.r, "--r"))
         return 0, element_document(v)
     raise ValueError(f"unknown genus action {a.action!r}")
 

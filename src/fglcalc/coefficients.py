@@ -823,7 +823,6 @@ class QuotientRing(Ring):
         rhs = [self.base.zero()] * n
         rhs[index[self._zero_exps()]] = self.base.one()
 
-        perm = list(range(n))
         for col in range(n):
             pivot_row = None
             for r in range(col, n):
@@ -845,7 +844,6 @@ class QuotientRing(Ring):
                         for k in range(n)
                     ]
                     rhs[r] = self.base.sub(rhs[r], self.base.mul(factor, rhs[col]))
-        del perm
         out = {}
         for i, e in enumerate(basis):
             if not self.base.is_zero(rhs[i]):

@@ -31,7 +31,7 @@ from .errors import (
     TruncationError,
 )
 from .fgl import X, FormalGroupLaw, fgl_exp, law_apply, multiplicative_law, transport
-from .polyseries import MultiSeries, series
+from .polyseries import MultiSeries, divide_by_var, series
 from .tate import sigma_in_x, sincos_pi, sine_series, theta_series
 
 # ----------------------------------------------------------------------
@@ -139,15 +139,7 @@ def euler_characteristic(Xd: ChernData) -> RingElement:
 
 def _ratio_to_var(f: MultiSeries) -> MultiSeries:
     """x / f for univariate f = x(1 + ...): invert the unit cofactor."""
-    if len(f.vars) != 1:
-        raise ValueError("need a univariate series")
-    shifted = {}
-    for exps, c in f.terms.items():
-        if exps[0] == 0:
-            raise ValueError("series must vanish at 0")
-        shifted[(exps[0] - 1,)] = c
-    unit = MultiSeries(f.ring, f.vars, f.trunc - 1, shifted, _canonical=True)
-    return unit.series_inverse()
+    return divide_by_var(f).series_inverse()
 
 
 def todd_series_of(F: FormalGroupLaw) -> MultiSeries:

@@ -601,6 +601,19 @@ def _to_payload(ring: Ring, c) -> Payload:
     return c
 
 
+def divide_by_var(f: MultiSeries) -> MultiSeries:
+    """f / x for a univariate f with no constant term, truncated one
+    degree lower."""
+    if len(f.vars) != 1:
+        raise ValueError("need a univariate series")
+    shifted = {}
+    for exps, c in f.terms.items():
+        if exps[0] == 0:
+            raise ValueError("series must vanish at 0")
+        shifted[(exps[0] - 1,)] = c
+    return MultiSeries(f.ring, f.vars, f.trunc - 1, shifted, _canonical=True)
+
+
 def series(ring: Ring, vars: Iterable[str], trunc: int, terms=None) -> MultiSeries:
     """Public constructor normalizing arbitrary coefficient inputs."""
     return MultiSeries(ring, tuple(vars), trunc, terms or {})

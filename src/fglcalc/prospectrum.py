@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .coefficients import PowerSeries, Rationals, RingElement
 from .equivariant import EqBundle, EquivariantContext, bundle, euler_class
 from .errors import NonConvergentError, NotAUnitError
-from .polyseries import MultiSeries, series
+from .polyseries import MultiSeries, divide_by_var, series
 from .tate import sigma_in_x, sine_series
 
 
@@ -146,7 +146,7 @@ def stabilize(
     (1-q^k L)(1-q^k L^{-1})/(1-q^k)^2 with L = 1-x once one power of L
     is divided out per step; factors with k > q_order are exactly 1 in
     the truncated ring, so the scan terminates.  The stable series is
-    checked against the closed product form.
+    checked against the closed form sigma_in_x.
 
     sine: the additive pairs (1 - x^2/(k^2 qhat^2)) never repeat
     coefficients exactly; the declared limit is the sine closed form
@@ -224,11 +224,5 @@ def stabilize(
 
 def _ratio_to_root(f: MultiSeries, ctx: MultiSeries, root: str) -> MultiSeries:
     """f(x)/x evaluated at the root variable, inside the template ctx."""
-    shifted = {}
-    for exps, c in f.terms.items():
-        if exps[0] == 0:
-            raise ValueError("series must vanish at 0")
-        shifted[(exps[0] - 1,)] = c
-    ratio = MultiSeries(f.ring, f.vars, f.trunc - 1, shifted, _canonical=True)
-    lifted = ratio.with_trunc(ctx.trunc).rename_vars({f.vars[0]: root})
-    return lifted.lift_to(ctx.vars)
+    ratio = divide_by_var(f).with_trunc(ctx.trunc)
+    return ratio.rename_vars({f.vars[0]: root}).lift_to(ctx.vars)

@@ -13,7 +13,16 @@ formal parameter t for the additive law, and the Weierstrass expansion
     sigma(L, q) = (1 - L) prod_{k>0} (1 - q^k L)(1 - q^k L^{-1}) / (1 - q^k)^2
 
 in Z[L, L^{-1}][[q]] for the multiplicative law, where the cutoff
-product equals L^N sigma^(N) on the nose.
+product equals L^N sigma^(N) on the nose.  sigma is not expanded as
+that product: by the Jacobi triple product and Jacobi's identity for
+(q; q)^3 (Andrews, The Theory of Partitions, ch. 2)
+
+    sigma(L, q) = sum_n (-1)^n q^{n(n-1)/2} L^n
+                  / sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2},
+
+two sums with O(sqrt(N)) terms each, so sigma to q-order N costs one
+power series inverse over Z.  The cutoff products are the finite
+objects checked against this closed form.
 
 The Tate extension group T(F)(A) consists of pairs (g, a) with g a
 point of F and a in Q cap [0, 1), multiplied with a carry:
@@ -282,22 +291,44 @@ def sigma_home(q_order: int) -> PowerSeries:
     return PowerSeries(LaurentPolynomials(Integers(), "L"), "q", q_order)
 
 
+def _sigma_kernel(q_order: int) -> dict:
+    """The payload of sigma(L, q) in sigma_home(q_order).
+
+    Numerator: the triple product (L; q)(q/L; q)(q; q) summed as
+    sum_n (-1)^n q^{n(n-1)/2} L^n, where n and 1 - n share a q-power.
+    Denominator: Jacobi's (q; q)^3 = sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2}.
+    Both are sparse, so one series inverse over Z is the whole cost.
+    """
+    R = sigma_home(q_order)
+    ZZ = R.base.base
+    num = {}
+    n = 1
+    while n * (n - 1) // 2 <= q_order:
+        s = ZZ.from_int((-1) ** n)
+        num[n * (n - 1) // 2] = {1 - n: ZZ.neg(s), n: s}
+        n += 1
+    den = {}
+    m = 0
+    while m * (m + 1) // 2 <= q_order:
+        den[m * (m + 1) // 2] = {0: ZZ.from_int((-1) ** m * (2 * m + 1))}
+        m += 1
+    return R.mul(num, R.invert(den))
+
+
 def sigma_series(q_order: int) -> RingElement:
     """sigma(L, q) = (1-L) prod_{k>0} (1-q^k L)(1-q^k L^{-1})/(1-q^k)^2.
 
-    Factors with k > q_order are 1 modulo the truncation, so the
-    product is finite.  The result is integral: it lives over Z.
+    Computed in closed form from the Jacobi triple product over
+    Jacobi's identity for (q; q)^3:
+
+        sigma(L, q) = sum_n (-1)^n q^{n(n-1)/2} L^n
+                      / sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2}
+
+    Both sums have O(sqrt(q_order)) terms, so the cost is one power
+    series inverse over Z and one sparse product.  The result is
+    integral: it lives over Z.
     """
-    R = sigma_home(q_order)
-    LP = R.base
-    one = R.one()
-    acc = R.sub(one, R.from_base(LP.param_payload(1)))  # 1 - L
-    for k in range(1, q_order + 1):
-        a = R.sub(one, {k: LP.param_payload(1)})    # 1 - q^k L
-        b = R.sub(one, {k: LP.param_payload(-1)})   # 1 - q^k L^{-1}
-        c = R.invert(R.sub(one, R.param_payload(k)))
-        acc = R.prod([acc, a, b, c, c])
-    return R.wrap(acc)
+    return sigma_home(q_order).wrap(_sigma_kernel(q_order))
 
 
 def sigma_modified(r: Fraction, q_order: int) -> RingElement:
@@ -408,25 +439,38 @@ def sigma_in_x(x_trunc: int, q_ring: Ring) -> MultiSeries:
     """sigma(1 - x, q) as a series in x over a truncated q-ring.
 
     This is the multiplicative-law theta in the additive coordinate
-    x = 1 - L: substituting L = 1 - x into the Weierstrass product.
+    x = 1 - L.  The closed-form sigma of sigma_series (triple product
+    over (q; q)^3) is computed once at the ring's q-order, then L^l is
+    replaced by (1 - x)^l: a binomial polynomial for l >= 0 and, for
+    l < 0, the (-l)-th power of the geometric series 1/(1 - x), whose
+    x^j coefficient is C(j - l - 1, j).  All arithmetic is over Z.
     """
     if not isinstance(q_ring, (PowerSeries, LaurentSeries)):
         raise RingMismatchError("need a truncated series ring in q")
-    ctx = series(q_ring, (X,), x_trunc)
-    one = ctx.one()
-    x = ctx.var(X)
-    one_minus_x = one - x
-    geo = one_minus_x.series_inverse()
-    acc = x
-    for k in range(1, q_ring.order + 1):
-        qk = q_ring.wrap(q_ring.param_payload(k))
-        a = one - qk * one_minus_x
-        b = one - qk * geo
-        c = q_ring.wrap(
-            q_ring.invert(q_ring.sub(q_ring.one(), q_ring.param_payload(k)))
-        )
-        acc = acc * a * b * c * c
-    return acc
+    by_l: dict[int, dict[int, Fraction]] = {}
+    for qe, lpayload in _sigma_kernel(q_ring.order).items():
+        for le, c in lpayload.items():
+            by_l.setdefault(le, {})[qe] = c
+    base = q_ring.base
+    terms = {}
+    for j in range(x_trunc + 1):
+        acc: dict[int, Fraction] = {}
+        for le, column in by_l.items():
+            if le >= 0:
+                b = (-1) ** j * math.comb(le, j)
+            else:
+                b = math.comb(j - le - 1, j)
+            if b:
+                for qe, c in column.items():
+                    acc[qe] = acc.get(qe, 0) + b * c
+        payload = {}
+        for qe, c in acc.items():
+            v = base.from_fraction(c)
+            if not base.is_zero(v):
+                payload[qe] = v
+        if payload:
+            terms[(j,)] = payload
+    return MultiSeries(q_ring, (X,), x_trunc, terms, _canonical=True)
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,30 @@ def sigma_oracle(q_order):
     return acc
 
 
+def sigma_in_x_oracle(x_trunc, q_order):
+    """sigma(1 - x, q) as dict[(q_exp, x_exp)] -> Fraction: the product
+    x prod_k (1 - q^k (1-x))(1 - q^k/(1-x)) / (1-q^k)^2 expanded densely,
+    with 1/(1-x) the geometric series."""
+
+    def mul(a, b):
+        out = {}
+        for (qa, xa), ca in a.items():
+            for (qb, xb), cb in b.items():
+                if qa + qb <= q_order and xa + xb <= x_trunc:
+                    key = (qa + qb, xa + xb)
+                    out[key] = out.get(key, F0) + ca * cb
+        return {k: v for k, v in out.items() if v != 0}
+
+    acc = {(0, 1): F1}  # x = 1 - L
+    for k in range(1, q_order + 1):
+        a = {(0, 0): F1, (k, 0): -F1, (k, 1): F1}
+        b = {(0, 0): F1}
+        b.update({(k, j): -F1 for j in range(x_trunc + 1)})
+        inv = d_geom_inv_one_minus(k, q_order)
+        acc = mul(acc, mul(a, mul(b, mul(inv, inv))))
+    return acc
+
+
 # the dimension-4 c1=0 block: coeff of h^4 in f(h) f(-h) where
 # f(h) = h/(1-e^{-h}) * prod_n (1-q^n)^2 / ((1-q^n e^{-h})(1-q^n e^h)),
 # computed with dense bivariate arrays b[i][j] = coeff of h^i q^j
@@ -192,3 +216,42 @@ def witten_block_oracle(q_order, h_order=4):
     fm = [[f[i][j] * (-1) ** i for j in range(Q + 1)] for i in range(H + 1)]
     g = _bv_mul(f, fm, H, Q)
     return {j: g[h_order][j] for j in range(Q + 1) if g[h_order][j] != 0}
+
+
+# the c1=0 block of dimension 2k without any sigma product: the genus is
+# the coefficient of h^{2k} in exp(sum_j 4 G_{2j}(q) h^{2j} / (2j)!) with
+# G_{2j} = -B_{2j}/(4j) + sum_n sigma_{2j-1}(n) q^n
+
+
+def bernoulli(n):
+    """B_0, ..., B_n (B_1 = -1/2) from sum_{k<=m} C(m+1, k) B_k = 0."""
+    B = [F1]
+    for m in range(1, n + 1):
+        B.append(-sum(math.comb(m + 1, k) * B[k] for k in range(m)) / (m + 1))
+    return B
+
+
+def divisor_power_sum(n, p):
+    return sum(d ** p for d in range(1, n + 1) if n % d == 0)
+
+
+def witten_eisenstein_oracle(dim, q_order):
+    H, Q = dim, q_order
+    B = bernoulli(H)
+    S = _bv_zero(H, Q)
+    for j in range(1, H // 2 + 1):
+        scale = Fraction(4, math.factorial(2 * j))
+        S[2 * j][0] = scale * (-B[2 * j] / (4 * j))
+        for n in range(1, Q + 1):
+            S[2 * j][n] = scale * divisor_power_sum(n, 2 * j - 1)
+    # S has h-valuation 2, so exp(S) stops at S^{H/2}
+    total = _bv_zero(H, Q)
+    total[0][0] = F1
+    power = _bv_zero(H, Q)
+    power[0][0] = F1
+    for m in range(1, H // 2 + 1):
+        power = _bv_mul(power, S, H, Q)
+        for i in range(H + 1):
+            for j in range(Q + 1):
+                total[i][j] += power[i][j] / math.factorial(m)
+    return {j: total[H][j] for j in range(Q + 1) if total[H][j] != 0}

@@ -76,6 +76,7 @@ from oracles import (
     genus_cp1xcp1,
     todd_density,
     witten_block_oracle,
+    witten_eisenstein_oracle,
 )
 
 QQ = Rationals()
@@ -360,7 +361,11 @@ def test_accept_14_witten_expansion():
     assert X.first_chern_vanishes()
     got = loop_genus_sigma(X, 6)
     assert got.data == witten_block_oracle(6)
-    ok("14 sigma-normalized loop genus of a c1 = 0 dimension-4 block matches the product-expansion oracle to q-order 6 ...")
+    # an oracle that never forms sigma: exp of Eisenstein series
+    for dim in (4, 8):
+        got = loop_genus_sigma(c1_trivial_block(dim), 8)
+        assert got.data == witten_eisenstein_oracle(dim, 8), dim
+    ok("14 sigma-normalized loop genus of a c1 = 0 block matches the product-expansion oracle (dim 4, q-order 6) and the Eisenstein oracle (dims 4, 8, q-order 8) ...")
 
 
 CLI_CASES = [

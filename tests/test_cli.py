@@ -261,6 +261,25 @@ def test_unknown_ring_exit_two(capsys):
     assert err.startswith("InputError:")
 
 
+ZERO_DENOMINATOR_ARGV = [
+    (["sigma", "--modified", "1/0"], "--modified"),
+    (["fgl", "transport", "--theta", "1/0"], "--theta"),
+    (["genus", "chi", "--manifold", "cp1", "--r", "1/0"], "--r"),
+    (["genus", "eval", "--manifold", "cp1", "--coeffs", "1,1/0"], "--coeffs"),
+    (["tate", "mul", "--x", "1,1/0"], "--x"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", ZERO_DENOMINATOR_ARGV, ids=[f for _, f in ZERO_DENOMINATOR_ARGV])
+def test_zero_denominator_exit_two(capsys, argv, flag):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"InputError: {flag}: ")
+
+
 # -------------------------------------------------------- determinism
 
 

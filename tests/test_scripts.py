@@ -1,0 +1,31 @@
+"""The demo scripts run end to end as their users start them."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        capture_output=True, text=True, timeout=180, env=env, cwd=ROOT,
+    )
+
+
+def test_theta_sigma_table():
+    r = run_script("theta_sigma_table.py", "--N", "6")
+    assert r.returncode == 0, r.stderr
+    assert "DIVERGES" not in r.stdout
+    assert r.stdout.count("matches sigma") == 6
+
+
+def test_witten_expansion():
+    r = run_script("witten_expansion.py", "--qorder", "8", "--top", "4")
+    assert r.returncode == 0, r.stderr
+    # header, column titles, and one row per power of q
+    assert len(r.stdout.splitlines()) == 2 + 9

@@ -20,6 +20,8 @@ from fglcalc.tate import (
     TatePoint,
     division_points,
     exact_sequence_check,
+    sigma_in_x,
+    sigma_modified,
     sigma_series,
     sigma_substitute_L,
     series_L_window,
@@ -29,7 +31,7 @@ from fglcalc.tate import (
     theta_vanishes_at,
 )
 
-from oracles import sigma_oracle
+from oracles import sigma_in_x_oracle, sigma_oracle
 
 QQ = Rationals()
 
@@ -79,14 +81,38 @@ def test_division_points_additive():
 
 
 def test_sigma_series_low_order_rows():
-    s = sigma_series(3)
-    oracle = sigma_oracle(3)
-    for (qe, le), val in oracle.items():
-        assert s.data.get(qe, {}).get(le, Fraction(0)) == val
-    # and nothing extra beyond the oracle window
-    for qe, row in s.data.items():
-        for le, val in row.items():
-            assert oracle.get((qe, le), Fraction(0)) == val
+    # the triple-product kernel against the infinite product, every
+    # (q, L) entry in both directions
+    for N in (3, 12, 24):
+        s = sigma_series(N)
+        oracle = sigma_oracle(N)
+        for (qe, le), val in oracle.items():
+            assert s.data.get(qe, {}).get(le, Fraction(0)) == val, (N, qe, le)
+        # and nothing extra beyond the oracle window
+        for qe, row in s.data.items():
+            for le, val in row.items():
+                assert oracle.get((qe, le), Fraction(0)) == val, (N, qe, le)
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)], ids=str)
+def test_sigma_modified_matches_shifted_oracle(r):
+    # sigma[L, r] = q^{-T} (-L)^m sigma(L, q), m = floor(r), T = m(m+1)/2
+    q_order = 8
+    m = r.numerator // r.denominator
+    T = m * (m + 1) // 2
+    expected = {}
+    for (qe, le), val in sigma_oracle(q_order + T).items():
+        if qe - T <= q_order:
+            expected[(qe - T, le + m)] = val * (-1) ** m
+    got = sigma_modified(r, q_order)
+    flat = {(qe, le): c for qe, row in got.data.items() for le, c in row.items()}
+    assert flat == expected
+
+
+def test_sigma_in_x_matches_product_oracle():
+    sx = sigma_in_x(6, PowerSeries(QQ, "q", 8))
+    flat = {(qe, j): c for (j,), row in sx.terms.items() for qe, c in row.items()}
+    assert flat == sigma_in_x_oracle(6, 8)
 
 
 def test_sigma_functional_equation():
