@@ -222,6 +222,9 @@ class Rationals(Ring):
     def mul(self, a, b):
         return a * b
 
+    def is_zero(self, a):
+        return not a
+
     def invert(self, a):
         if a == 0:
             raise NotAUnitError("0 is not invertible in Q")
@@ -350,6 +353,9 @@ class Integers(Ring):
     def mul(self, a, b):
         return a * b
 
+    def is_zero(self, a):
+        return not a
+
     def invert(self, a):
         if a == 0:
             raise NotAUnitError("0 is not invertible")
@@ -399,6 +405,9 @@ class IntegersMod(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.modulus
+
+    def is_zero(self, a):
+        return not a
 
     def invert(self, a):
         if math.gcd(a, self.modulus) != 1:

@@ -3,9 +3,14 @@
 A law is a bivariate series F(x, y) = x + y + higher order satisfying
 commutativity and associativity up to the truncation order.  Laws are
 validated eagerly at construction so nothing downstream operates on a
-non-law.  The ``exact`` flag records that the stored polynomial is the
-entire law (true for the additive and multiplicative laws), which
-legitimizes evaluation at arguments with non-nilpotent constant parts.
+non-law.  Over rings with rational scalars, and over Z and Z[1/n] read
+inside Q, associativity is checked through the logarithm,
+l(F(x, y)) = l(x) + l(y); other rings, such as Z/n and Artin rings over
+it, expand F(F(x, y), z) = F(x, F(y, z)) in three variables (see
+``check_law_axioms``).  The ``exact`` flag records that the stored
+polynomial is the entire law (true for the additive and multiplicative
+laws), which legitimizes evaluation at arguments with non-nilpotent
+constant parts.
 
 The one-dimensional calculus lives here: n-series by binary addition
 chains, the formal inverse by fixed-point iteration, logarithms by
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .coefficients import Ring, RingElement
+from .coefficients import Integers, Rationals, Ring, RingElement
 from .errors import (
     LawAxiomError,
     NotAUnitError,
@@ -33,8 +38,38 @@ X, Y = "x", "y"
 def check_law_axioms(law: MultiSeries) -> None:
     """Raise LawAxiomError unless law is a commutative formal group law.
 
-    Checks, coefficientwise up to the truncation order: F(x, 0) = x,
-    F(0, y) = y, F(x, y) = F(y, x) and F(F(x, y), z) = F(x, F(y, z)).
+    Checks, coefficientwise up to the truncation order T, in this order:
+    F(x, 0) = x, F(0, y) = y, F(x, y) = F(y, x), and associativity.
+
+    Which associativity criterion runs depends on the ring:
+
+    - rings with rational scalars (Q, Q[i], and power series, Laurent
+      and quotient rings over them): the logarithm criterion below;
+    - Z and Z[1/n]: the same criterion after mapping the coefficients
+      into Q, which is faithful because these rings are subrings of Q;
+    - Z/n, Artin rings over Z/n and every other ring without rational
+      scalars: F(F(x, y), z) = F(x, F(y, z)) by three-variable
+      substitution (``_associative_by_substitution``).
+
+    The logarithm criterion: with g(x) = (dF/dy)(x, 0) and
+    l = integral of 1/g from 0, F is associative modulo degree T + 1 if
+    and only if l(F(x, y)) = l(x) + l(y) modulo degree T + 1.  Over any
+    ring containing Q, for a bud F that satisfies the unit axioms:
+
+    - associativity gives the log identity: differentiate
+      F(F(x, y), z) = F(x, F(y, z)) in z at z = 0 to get
+      g(F(x, y)) = (dF/dy)(x, y) g(y), so d/dy l(F(x, y)) = l'(y), and
+      integrating in y from 0, where F(x, 0) = x, gives
+      l(F(x, y)) = l(x) + l(y);
+    - the log identity gives associativity: l is strict because
+      g(0) = 1, so it has a compositional inverse e and
+      F = e(l(x) + l(y)) modulo degree T + 1, and that law is
+      associative because addition is.
+
+    Truncation is harmless on both sides: every series substituted has
+    no constant term, so congruences modulo degree T + 1 survive it, and
+    l modulo degree T + 1 only needs g modulo degree T.  The check is a
+    two-variable composition, where the substitution needs three.
     """
     if len(law.vars) != 2:
         raise LawAxiomError("a law needs exactly two variables")
@@ -55,14 +90,46 @@ def check_law_axioms(law: MultiSeries) -> None:
     )
     if flipped != law:
         raise LawAxiomError("commutativity fails")
+    if law.ring.has_rational_scalars():
+        associative = _associative_by_log(law)
+    elif isinstance(law.ring, Integers):
+        qq = Rationals()
+        associative = _associative_by_log(law.map_coefficients(qq.from_fraction, qq))
+    else:
+        associative = _associative_by_substitution(law)
+    if not associative:
+        raise LawAxiomError("associativity fails")
+
+
+def _log_of(law: MultiSeries) -> MultiSeries:
+    """l = integral of 1 / (dF/dy)(x, 0), l(0) = 0, as a series in x."""
+    xv, yv = law.vars
+    d = law.coefficient_in(yv, 1).project_vars((xv,))
+    return d.series_inverse().integrate(xv)
+
+
+def _associative_by_log(law: MultiSeries) -> bool:
+    """l(F(x, y)) == l(x) + l(y) for a unital bud over a Q-algebra."""
+    if law.trunc == 0:
+        # the unit axioms leave only F = 0, and g = 0 has no inverse
+        return True
+    xv, yv = law.vars
+    log = _log_of(law)
+    lx = log.lift_to(law.vars)
+    ly = log.rename_vars({xv: yv}).lift_to(law.vars)
+    return log.substitute({xv: law}) == lx + ly
+
+
+def _associative_by_substitution(law: MultiSeries) -> bool:
+    """F(F(x, y), z) == F(x, F(y, z)) expanded in three variables."""
+    xv, yv = law.vars
     tri = series(law.ring, (xv, yv, "assoc_z"), law.trunc)
     inner_xy = law.lift_to(tri.vars)
     z = tri.var("assoc_z")
     left = law.substitute({xv: inner_xy, yv: z})
     inner_yz = law.rename_vars({xv: yv, yv: "assoc_z"}).lift_to(tri.vars)
     right = law.substitute({xv: tri.var(xv), yv: inner_yz})
-    if left != right:
-        raise LawAxiomError("associativity fails")
+    return left == right
 
 
 @dataclass
@@ -250,8 +317,7 @@ def fgl_log(F: FormalGroupLaw) -> MultiSeries:
         raise RationalsRequiredError(
             f"logarithms need rational scalars, not {F.ring.descriptor()}"
         )
-    d = F.law.coefficient_in(Y, 1).project_vars((X,))
-    return d.series_inverse().integrate(X)
+    return _log_of(F.law)
 
 
 def fgl_exp(F: FormalGroupLaw) -> MultiSeries:
@@ -278,7 +344,9 @@ def transport(F: FormalGroupLaw, theta: MultiSeries) -> Isomorphism:
     """Push F forward along an invertible coordinate change.
 
     theta must be univariate with theta(0) = 0 and unit slope.  The
-    resulting law is validated before being returned.
+    resulting law is validated once, by ``from_series``, before being
+    returned: through its logarithm over Q-algebras, Z and Z[1/n], and
+    by three-variable substitution over other rings.
     """
     if len(theta.vars) != 1:
         raise ValueError("theta must be univariate")

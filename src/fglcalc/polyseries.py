@@ -16,6 +16,7 @@ term unless the caller asserts that the polynomial is exact (mode
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional
 
@@ -208,21 +209,27 @@ class MultiSeries:
         t1, t2 = self.terms, other.terms
         if len(t1) > len(t2):
             t1, t2 = t2, t1
-        deg2 = {e: sum(e) for e in t2}
+        # the longer operand's terms by total degree, lowest first, so
+        # each term of t1 visits only the partners that stay in range
+        buckets: dict[int, list[tuple[Exps, Payload]]] = {}
+        for e2, c2 in t2.items():
+            buckets.setdefault(sum(e2), []).append((e2, c2))
+        by_degree = sorted(buckets.items())
+        mul, add, is_zero = ring.mul, ring.add, ring.is_zero
         out: dict[Exps, Payload] = {}
         zero = ring.zero()
         for e1, c1 in t1.items():
-            d1 = sum(e1)
-            for e2, c2 in t2.items():
-                if d1 + deg2[e2] > trunc:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                p = ring.mul(c1, c2)
-                s = ring.add(out.get(e, zero), p)
-                if ring.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+            room = trunc - sum(e1)
+            for d2, partners in by_degree:
+                if d2 > room:
+                    break
+                for e2, c2 in partners:
+                    e = tuple(map(operator.add, e1, e2))
+                    s = add(out.get(e, zero), mul(c1, c2))
+                    if is_zero(s):
+                        out.pop(e, None)
+                    else:
+                        out[e] = s
         return self._make(out)
 
     __rmul__ = __mul__

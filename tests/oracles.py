@@ -88,6 +88,23 @@ AHAT_CP2 = Fraction(-3, 24)
 AHAT_CP1XCP1 = Fraction(0)
 
 
+# multivariate truncated series as dict[exponent tuple] -> coefficient
+
+
+def m_mul_all_pairs(a, b, trunc, modulus=None):
+    """Product of two exponent-tuple dicts, every pair of terms visited,
+    total degree > trunc dropped afterwards; coefficients mod modulus
+    when one is given (ints), else exact (Fractions)."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    if modulus is not None:
+        out = {k: v % modulus for k, v in out.items()}
+    return {k: v for k, v in out.items() if v != 0 and sum(k) <= trunc}
+
+
 # sigma(L, q) as dict[(q_exp, L_exp)] -> Fraction, truncated at q_order
 
 

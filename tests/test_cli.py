@@ -73,6 +73,27 @@ def test_fgl_transport(capsys):
     assert "(4)*x*y" in out
 
 
+def test_fgl_transport_validates_once(capsys, monkeypatch):
+    import fglcalc.cli
+    import fglcalc.fgl
+
+    calls = []
+    original = fglcalc.fgl.check_law_axioms
+
+    def counted(law):
+        calls.append(law.trunc)
+        return original(law)
+
+    # the CLI holds its own binding, so count calls through either name
+    monkeypatch.setattr(fglcalc.fgl, "check_law_axioms", counted)
+    monkeypatch.setattr(fglcalc.cli, "check_law_axioms", counted)
+    code, _, _ = invoke(
+        capsys, "fgl", "transport", "--law", "gm", "--theta", "2,1", "--trunc", "5"
+    )
+    assert code == 0
+    assert calls == [5]
+
+
 def test_quotient_mu3(capsys):
     code, out, _ = invoke(capsys, "quotient", "--case", "mu3", "--trunc", "6")
     assert code == 0

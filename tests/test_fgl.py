@@ -3,16 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fglcalc.coefficients import Integers, IntegersMod, Rationals
+from fglcalc.coefficients import Integers, IntegersMod, PowerSeries, Rationals
 from fglcalc.errors import (
     LawAxiomError,
     NotAUnitError,
     RationalsRequiredError,
 )
 from fglcalc.fgl import (
+    _associative_by_substitution,
     additive_law,
     check_law_axioms,
     fgl_exp,
@@ -67,6 +68,22 @@ def test_axiom_checker_rejects_wrong_unit():
     x, y = c.var("x"), c.var("y")
     bad = x + y + x * x
     with pytest.raises(LawAxiomError):
+        check_law_axioms(bad)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [QQ, Integers(), IntegersMod(9), PowerSeries(QQ, "q", 4)],
+    ids=lambda r: r.descriptor(),
+)
+def test_axiom_checker_rejects_non_associative(ring):
+    # unital and commutative, but the x*y*z^2 and x^2*y*z terms of the two
+    # bracketings differ: 2 x y z^2 against 2 x^2 y z
+    c = series(ring, ("x", "y"), 4)
+    x, y = c.var("x"), c.var("y")
+    bad = x + y + x * x * y * y
+    assert not _associative_by_substitution(bad)
+    with pytest.raises(LawAxiomError, match="^associativity fails$"):
         check_law_axioms(bad)
 
 
@@ -211,3 +228,39 @@ def test_from_log_symmetry(a2, a3):
     check_law_axioms(F.law)
     for (i, j), coeff in F.law.sorted_terms():
         assert F.law.coefficient([j, i]) == coeff
+
+
+def _log_criterion_accepts(law):
+    """check_law_axioms on a unital commutative bud: True, or False on
+    exactly the associativity failure."""
+    try:
+        check_law_axioms(law)
+    except LawAxiomError as exc:
+        assert str(exc) == "associativity fails"
+        return False
+    return True
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["Q", "Z"]),
+    st.sampled_from([3, 5, 6]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(-3, 3),
+)
+@example("Q", 3, 1, 2, 1)  # a 2-cocycle at the top degree: still a law
+@example("Z", 5, 1, 1, 2)  # perturbed below the top degree: not a law
+def test_log_criterion_agrees_with_substitution(ring_name, trunc, i, j, c):
+    # a transported law plus the symmetric term c (x^i y^j + x^j y^i)
+    # stays unital and commutative; both criteria must judge associativity
+    # alike, over Q and over Z (which checks through Q)
+    ring = QQ if ring_name == "Q" else Integers()
+    uni = series(ring, ("x",), trunc)
+    t = uni.var("x")
+    theta = t + uni.const(2) * t**2 - t**3
+    law = transport(multiplicative_law(ring, trunc), theta).target.law
+    bi = series(ring, ("x", "y"), trunc)
+    x, y = bi.var("x"), bi.var("y")
+    bud = law + bi.const(c) * (x**i * y**j + x**j * y**i)
+    assert _log_criterion_accepts(bud) == _associative_by_substitution(bud)

@@ -1,5 +1,6 @@
 """Truncated multivariate series: arithmetic, substitution, reversion."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from fglcalc.coefficients import IntegersMod, Rationals, quotient_ring
 from fglcalc.errors import ConstantTermError, NotAUnitError, RingMismatchError
 from fglcalc.polyseries import series
+
+from oracles import m_mul_all_pairs
 
 QQ = Rationals()
 
@@ -186,3 +189,47 @@ def test_series_inverse_is_two_sided(coeffs):
         f = f + c.one()
     g = f.series_inverse()
     assert (f * g).sorted_terms() == [((0,), Fraction(1))]
+
+
+def _random_terms(rng, nvars, trunc, count, modulus):
+    """Terms of every total degree up to trunc + 2; the constructor drops
+    the ones beyond trunc."""
+    terms = {}
+    for _ in range(count):
+        degree = rng.randint(0, trunc + 2)
+        cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+        exps = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        if modulus is None:
+            terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        else:
+            terms[exps] = rng.randint(0, modulus - 1)
+    return terms
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 12])
+@pytest.mark.parametrize(
+    "ring, modulus, vars",
+    [
+        (QQ, None, ("x", "y")),
+        (IntegersMod(8), 8, ("x", "y")),
+        (QQ, None, ("x", "y", "z")),
+        (IntegersMod(8), 8, ("x", "y", "z")),
+    ],
+    ids=["Q-xy", "Z/8-xy", "Q-xyz", "Z/8-xyz"],
+)
+def test_mul_matches_all_pairs_product(ring, modulus, vars, trunc):
+    # the degree-bucketed product must give exactly the dict of the
+    # naive product, for operands of unequal length with terms of high
+    # degree that only low-degree partners reach
+    rng = random.Random(f"{ring.descriptor()}{len(vars)}{trunc}")
+    for count_a, count_b in ((1, 1), (3, 17), (17, 3), (25, 25)):
+        a = series(ring, vars, trunc, _random_terms(rng, len(vars), trunc, count_a, modulus))
+        b = series(ring, vars, trunc, _random_terms(rng, len(vars), trunc, count_b, modulus))
+        assert (a * b).terms == m_mul_all_pairs(a.terms, b.terms, trunc, modulus)
+        assert (b * a).terms == (a * b).terms
+    c = series(ring, vars, trunc)
+    x, y = c.var("x"), c.var("y")
+    # cancellation: (x + y)(x - y) = x^2 - y^2 drops the xy terms
+    assert ((x + y) * (x - y)).terms == m_mul_all_pairs(
+        (x + y).terms, (x - y).terms, trunc, modulus
+    )
