@@ -25,6 +25,9 @@ fall below -tail raise TailOverflowError, exponents above the order are
 dropped.  When negative and positive exponents mix, coefficients within
 (combined negative valuation) of the order can be silently lost, so
 computations allocate order headroom and read answers only below it.
+Division by a divisor of valuation v <= 0 is the exception: long division
+reads the dividend only through order + v, which a product by a Laurent
+polynomial of valuation v still gets right.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Iterable, Optional
 
 from .errors import (
@@ -471,11 +475,16 @@ class _SeriesLike(Ring):
         return hi is None or e <= hi
 
     def add(self, a, b):
+        base = self.base
         out = dict(a)
         for e, c in b.items():
-            s = self.base.add(out.get(e, self.base.zero()), c)
-            if self.base.is_zero(s):
-                out.pop(e, None)
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c
+                continue
+            s = base.add(prev, c)
+            if base.is_zero(s):
+                del out[e]
             else:
                 out[e] = s
         return out
@@ -484,20 +493,71 @@ class _SeriesLike(Ring):
         return {e: self.base.neg(c) for e, c in a.items()}
 
     def mul(self, a, b):
-        out: dict[int, Payload] = {}
         if len(a) > len(b):
             a, b = b, a
+        if not a:
+            return {}
+        lo, hi = self._lo(), self._hi()
+        low = min(a) + min(b)
+        if lo is not None and low < lo:
+            self._check_exponent(low)  # raises TailOverflowError
+        base = self.base
+        bmul, badd, bzero = base.mul, base.add, base.is_zero
+        # the longer operand in ascending order, so each row stops at hi
+        terms = b.items() if hi is None else sorted(b.items(), key=itemgetter(0))
+        out: dict[int, Payload] = {}
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
+            for e2, c2 in terms:
                 e = e1 + e2
-                if not self._check_exponent(e):
-                    continue
-                p = self.base.mul(c1, c2)
-                s = self.base.add(out.get(e, self.base.zero()), p)
-                if self.base.is_zero(s):
+                if hi is not None and e > hi:
+                    break
+                p = bmul(c1, c2)
+                prev = out.get(e)
+                if prev is not None:
+                    p = badd(prev, p)
+                if bzero(p):
                     out.pop(e, None)
                 else:
-                    out[e] = s
+                    out[e] = p
+        return out
+
+    def _long_divide(self, a: Payload, d: Payload, top: int) -> Payload:
+        """The quotient c = a / d by long division, through exponent top.
+
+        With v the valuation of d and d_v its lowest coefficient, which
+        must be a unit of the base,
+
+            c_e = (a_{e+v} - sum_{j != v} d_j c_{e+v-j}) / d_v
+
+        for e from val(a) - v upward.  Each c_e costs one base product
+        per term of d, so a sparse divisor is cheap.  c_e reads a only
+        through exponent e + v and d only through e + 2v - val(a), and
+        no window bound is applied: callers choose top.
+        """
+        base = self.base
+        v = min(d)
+        inv = base.invert(d[v])
+        out: dict[int, Payload] = {}
+        if not a:
+            return out
+        rest = sorted(
+            ((j - v, base.neg(c)) for j, c in d.items() if j != v), key=itemgetter(0)
+        )
+        bmul, badd, bzero = base.mul, base.add, base.is_zero
+        start = min(a) - v
+        for e in range(start, top + 1):
+            acc = a.get(e + v)
+            for s, c in rest:
+                if e - s < start:
+                    break
+                prev = out.get(e - s)
+                if prev is not None:
+                    p = bmul(c, prev)
+                    acc = p if acc is None else badd(acc, p)
+            if acc is not None:
+                q = bmul(acc, inv)
+                if not bzero(q):
+                    out[e] = q
         return out
 
     def scalar_mul(self, c: Payload, a: Payload) -> Payload:
@@ -568,18 +628,14 @@ class PowerSeries(_SeriesLike):
     def _hi(self):
         return self.order
 
-    def invert(self, a):
-        c0 = a.get(0)
-        if c0 is None:
+    def divide(self, a: Payload, d: Payload) -> Payload:
+        """a / d for d with a unit constant term, exact through the order."""
+        if d.get(0) is None:
             raise NotAUnitError(f"no constant term, not a unit in {self.descriptor()}")
-        b = {0: self.base.invert(c0)}
-        prec = 1
-        two = self.from_int(2)
-        while prec <= self.order:
-            prec = min(2 * prec, self.order + 1)
-            correction = self.sub(two, self.mul(a, b))
-            b = self.mul(b, correction)
-        return b
+        return self._long_divide(a, d, self.order)
+
+    def invert(self, a):
+        return self.divide(self.one(), a)
 
     def descriptor(self):
         return f"powser({self.base.descriptor()};{self.param};{self.order})"
@@ -590,9 +646,14 @@ class LaurentSeries(_SeriesLike):
     """Truncated Laurent window: exponents in [-tail, order].
 
     The bottom of the window is a hard contract (TailOverflowError), the
-    top is plain truncation.  Inverting an element of valuation v returns
-    coefficients that are only trustworthy up to order - 2v when v > 0;
-    allocate headroom accordingly.
+    top is plain truncation.  Both quotients are long divisions:
+
+    * divide(a, d) takes d of valuation v <= 0 and is exact through the
+      order whenever a is exact through order + v and d is a Laurent
+      polynomial inside the window, so it needs no headroom;
+    * invert(a) of an element of valuation v returns coefficients that
+      are only trustworthy up to order - 2v when v > 0; allocate
+      headroom accordingly.
     """
 
     base: Ring
@@ -610,19 +671,30 @@ class LaurentSeries(_SeriesLike):
     def _hi(self):
         return self.order
 
+    def divide(self, a: Payload, d: Payload) -> Payload:
+        """a / d for d of valuation v <= 0 whose lowest coefficient is a
+        unit.  Coefficients through the order are exact when a is exact
+        through order + v and d through order + 2v - val(a); in
+        particular whenever d is a Laurent polynomial inside the window."""
+        if not d:
+            raise NotAUnitError("0 is not invertible")
+        v = min(d)
+        if v > 0:
+            raise ValueError(
+                f"divisor of valuation {v} > 0 is not exact in a window; use invert"
+            )
+        return self._long_divide(a, d, self.order)
+
     def invert(self, a):
         if not a:
             raise NotAUnitError("0 is not invertible")
         v = min(a)
-        shifted = {e - v: c for e, c in a.items()}
-        known = self.order - v
-        helper = PowerSeries(self.base, self.param, max(known, 0))
-        inv_shifted = helper.invert(shifted)
-        out = {}
-        for e, c in inv_shifted.items():
-            e2 = e - v
-            if self._check_exponent(e2):
-                out[e2] = c
+        # a is known through the order only, so for v > 0 the inverse is
+        # read through order - 2v (and its leading term, whatever the order)
+        out = self._long_divide(
+            self.one(), a, min(self.order, max(self.order - v, 0) - v)
+        )
+        self._check_exponent(-v)  # the leading term q^-v must fit the window
         return out
 
     def descriptor(self):

@@ -22,7 +22,9 @@ that product: by the Jacobi triple product and Jacobi's identity for
 
 two sums with O(sqrt(N)) terms each, so sigma to q-order N costs one
 power series inverse over Z.  The cutoff products are the finite
-objects checked against this closed form.
+objects checked against this closed form.  They divide by their
+division points with an exact long division, which needs no precision
+headroom in the Laurent window they are computed in.
 
 The Tate extension group T(F)(A) consists of pairs (g, a) with g a
 point of F and a in Q cap [0, 1), multiplied with a carry:
@@ -79,6 +81,8 @@ def division_points(
     F: FormalGroupLaw, qhat: RingElement, cutoff: int
 ) -> dict[int, RingElement]:
     """[k](qhat) for 0 < |k| <= cutoff, each checked to be a unit."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     points: dict[int, RingElement] = {}
     for k in range(1, cutoff + 1):
         for kk in (k, -k):
@@ -298,6 +302,10 @@ def _sigma_kernel(q_order: int) -> dict:
     sum_n (-1)^n q^{n(n-1)/2} L^n, where n and 1 - n share a q-power.
     Denominator: Jacobi's (q; q)^3 = sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2}.
     Both are sparse, so one series inverse over Z is the whole cost.
+    Inverting the L-free denominator and then multiplying beats dividing
+    num by it directly: the quotient's q^e coefficient spans O(sqrt(e))
+    L-powers, so the long division of num costs O(N^2) integer ops where
+    the inverse costs O(N^1.5) on L-monomials.
     """
     R = sigma_home(q_order)
     ZZ = R.base.base
@@ -398,13 +406,20 @@ def theta_multiplicative_L(cutoff: int, q_order: int) -> tuple[RingElement, Ring
     """The cutoff product for the multiplicative law in the L coordinate.
 
     Returns (theta, normalized) where theta is the raw cutoff product
-    with x = 1 - L and division points 1 - q^k, and normalized is
+    with x = 1 - L and division points u = 1 - q^k, and normalized is
     theta * L^{-cutoff}.  Both live in Z[L, L^{-1}][[q]]; normalized
     agrees with sigma(L, q) up to q-order cutoff.
+
+    Each of the 2 * cutoff factors is applied as an exact long division,
+    acc <- (acc * (x +_F u)) / u, by the two-term divisor u, so a factor
+    costs O(q_order) base operations.  For k < 0 the divisor has
+    valuation k and the division reads the product only through
+    q_order + k, where multiplying by x +_F u = 1 - L q^k is still
+    exact; so the work window is [-cutoff, q_order] with no headroom.
     """
-    work = LaurentSeries(
-        LaurentPolynomials(Integers(), "L"), "q", q_order + cutoff + 1, cutoff + 1
-    )
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    work = LaurentSeries(LaurentPolynomials(Integers(), "L"), "q", q_order, cutoff)
     LP = work.base
     one = work.one()
     x = work.sub(one, work.from_base(LP.param_payload(1)))  # 1 - L
@@ -416,23 +431,12 @@ def theta_multiplicative_L(cutoff: int, q_order: int) -> tuple[RingElement, Ring
     for k in range(1, cutoff + 1):
         for kk in (k, -k):
             u = work.sub(one, work.param_payload(kk))  # 1 - q^kk
-            acc = work.mul(acc, work.mul(gm_sum(x, u), work.invert(u)))
+            acc = work.divide(work.mul(acc, gm_sum(x, u)), u)
+    if acc and min(acc) < 0:
+        raise TruncationError("cutoff product left unexpected negative q-exponents")
     normalized = work.mul(acc, work.from_base(LP.param_payload(-cutoff)))
-
     out = sigma_home(q_order)
-
-    def window(payload):
-        kept = {}
-        for qe, lpayload in payload.items():
-            if 0 <= qe <= q_order:
-                kept[qe] = lpayload
-            elif qe < 0 and lpayload:
-                raise TruncationError(
-                    "cutoff product left unexpected negative q-exponents"
-                )
-        return out.wrap(kept)
-
-    return window(acc), window(normalized)
+    return out.wrap(acc), out.wrap(normalized)
 
 
 def sigma_in_x(x_trunc: int, q_ring: Ring) -> MultiSeries:

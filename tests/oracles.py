@@ -105,6 +105,42 @@ def m_mul_all_pairs(a, b, trunc, modulus=None):
     return {k: v for k, v in out.items() if v != 0 and sum(k) <= trunc}
 
 
+# one-parameter series as dict[exponent] -> payload over a base ring
+# object, touching only its base operations (mul, add, neg, invert,
+# from_int, is_zero): the reference for the engine's series products and
+# quotients
+
+
+def s_mul_all_pairs(base, a, b, hi=None):
+    """Every pair of terms visited, exponents above hi dropped afterwards."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            p = base.mul(ca, cb)
+            out[e] = base.add(out[e], p) if e in out else p
+    return {
+        e: c for e, c in out.items() if not base.is_zero(c) and (hi is None or e <= hi)
+    }
+
+
+def newton_inverse(base, a, order):
+    """1/a through q^order for a with a unit constant term, by Newton's
+    iteration b <- b (2 - a b), which doubles the correct prefix."""
+    b = {0: base.invert(a[0])}
+    prec = 1
+    while prec <= order:
+        prec = min(2 * prec, order + 1)
+        correction = {
+            e: base.neg(c) for e, c in s_mul_all_pairs(base, a, b, order).items()
+        }
+        c0 = base.add(correction.pop(0, base.zero()), base.from_int(2))
+        if not base.is_zero(c0):
+            correction[0] = c0
+        b = s_mul_all_pairs(base, b, correction, order)
+    return b
+
+
 # sigma(L, q) as dict[(q_exp, L_exp)] -> Fraction, truncated at q_order
 
 
@@ -129,14 +165,22 @@ def d_geom_inv_one_minus(qk, q_order):
     return out
 
 
-def sigma_oracle(q_order):
+def theta_cutoff_oracle(cutoff, q_order):
+    """(raw, normalized) multiplicative cutoff products as q-dicts:
+    normalized = (1 - L) prod_{k<=cutoff} (1 - q^k L)(1 - q^k L^{-1})
+    / (1 - q^k)^2 and raw = L^cutoff normalized."""
     acc = {(0, 0): F1, (0, 1): Fraction(-1)}  # 1 - L
-    for k in range(1, q_order + 1):
+    for k in range(1, cutoff + 1):
         a = {(0, 0): F1, (k, 1): Fraction(-1)}
         b = {(0, 0): F1, (k, -1): Fraction(-1)}
         inv = d_geom_inv_one_minus(k, q_order)
         acc = d_mul(acc, d_mul(a, d_mul(b, d_mul(inv, inv, q_order), q_order), q_order), q_order)
-    return acc
+    raw = {(qe, le + cutoff): c for (qe, le), c in acc.items()}
+    return raw, acc
+
+
+def sigma_oracle(q_order):
+    return theta_cutoff_oracle(q_order, q_order)[1]
 
 
 def sigma_in_x_oracle(x_trunc, q_order):

@@ -301,6 +301,21 @@ def test_zero_denominator_exit_two(capsys, argv, flag):
     assert lines[0].startswith(f"InputError: {flag}: ")
 
 
+NEGATIVE_CUTOFF_ARGV = [
+    ["theta", "--law", "gm", "--N", "-1"],
+    ["theta", "--law", "ga", "--N", "-1"],
+    ["genus", "loop", "--manifold", "cp1", "--law", "gm", "--N", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_CUTOFF_ARGV, ids=["theta-gm", "theta-ga", "genus-loop-gm"])
+def test_negative_cutoff_exit_two(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["InputError: cutoff must be nonnegative"]
+
+
 # -------------------------------------------------------- determinism
 
 

@@ -1,5 +1,6 @@
 """Coefficient ring layer: payload arithmetic, windows, quotients."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from fglcalc.coefficients import (
     quotient_ring,
 )
 from fglcalc.errors import NotAUnitError, TailOverflowError
+
+from oracles import newton_inverse, s_mul_all_pairs
 
 QQ = Rationals()
 
@@ -168,3 +171,142 @@ def test_power_series_commutative_associative(pa, pb):
     pa, pb = R.normalize(pa), R.normalize(pb)
     assert R.mul(pa, pb) == R.mul(pb, pa)
     assert R.mul(R.mul(pa, pb), pa) == R.mul(pa, R.mul(pb, pa))
+
+
+# ------------------------------------------- series products and quotients
+
+
+ZL = LaurentPolynomials(Integers(), "L")
+QT = PowerSeries(QQ, "t", 2)
+
+
+def _frac(rng, den=5):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, den))
+
+
+# name: (base ring, random element of it, a unit of it)
+SERIES_BASES = {
+    "Q": (QQ, _frac, Fraction(3, 2)),
+    "Z/9": (IntegersMod(9), lambda rng: rng.randrange(9), 7),
+    "Z[1/2]": (
+        Integers((2,)),
+        lambda rng: Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 2)),
+        Fraction(-1, 4),
+    ),
+    "laurpoly(Z)": (
+        ZL,
+        # monomials: wider random coefficients make the dense order-40
+        # quotient so wide in L that the Newton reference takes seconds
+        lambda rng: ZL.normalize({rng.randint(0, 1): Fraction(rng.randint(-2, 2))}),
+        {1: Fraction(-1)},
+    ),
+    "powser(Q)": (
+        QT,
+        lambda rng: QT.normalize({e: _frac(rng, 3) for e in range(rng.randint(0, 3))}),
+        {0: Fraction(2), 1: Fraction(1)},
+    ),
+}
+
+
+def _series(R, elem, rng, exponents):
+    return R.normalize({e: elem(rng) for e in exponents})
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 40])
+@pytest.mark.parametrize("shape", ["sparse", "dense"])
+@pytest.mark.parametrize("name", list(SERIES_BASES))
+def test_divide_and_invert_match_newton(name, shape, order):
+    base, elem, unit = SERIES_BASES[name]
+    rng = random.Random(f"{name}/{shape}/{order}")
+    R = PowerSeries(base, "q", order)
+    tail = range(1, order + 1) if shape == "dense" else [e for e in (3, 7, 19) if e <= order]
+    d = _series(R, elem, rng, tail)
+    d[0] = unit
+    inv = newton_inverse(base, d, order)
+    assert R.invert(d) == inv
+    a = _series(R, elem, rng, range(order + 1))
+    assert R.divide(a, d) == s_mul_all_pairs(base, a, inv, order)
+    assert R.divide({}, d) == {}
+
+
+def test_power_series_quotient_needs_a_constant_term():
+    R = PowerSeries(QQ, "q", 8)
+    message = r"^no constant term, not a unit in powser\(Q;q;8\)$"
+    with pytest.raises(NotAUnitError, match=message):
+        R.invert({1: Fraction(1)})
+    with pytest.raises(NotAUnitError, match=message):
+        R.invert({})
+    with pytest.raises(NotAUnitError, match=message):
+        R.divide(R.one(), {2: Fraction(1), 3: Fraction(1)})
+    Z9 = PowerSeries(IntegersMod(9), "q", 4)
+    with pytest.raises(NotAUnitError, match="not a unit mod 9"):
+        Z9.divide(Z9.one(), {0: 3, 1: 1})
+
+
+LAURENT_DIVISORS = [
+    ("Q", {0: Fraction(1), -3: Fraction(-1)}),
+    ("Q", {-2: Fraction(3), -1: Fraction(1), 0: Fraction(-2), 4: Fraction(5)}),
+    ("Q", {0: Fraction(2), 1: Fraction(1), 6: Fraction(-1)}),
+    ("Z/9", {-4: 2, -3: 3, 0: 6, 5: 1}),
+    ("laurpoly(Z)", {-1: {0: Fraction(1)}, 0: {1: Fraction(-1)}, 2: {-2: Fraction(4)}}),
+]
+
+
+@pytest.mark.parametrize(
+    "name,d", LAURENT_DIVISORS, ids=[f"{n}-{i}" for i, (n, _) in enumerate(LAURENT_DIVISORS)]
+)
+def test_laurent_divide_undoes_mul(name, d):
+    # a divisor of valuation v <= 0 inside the window: dividing reads the
+    # product only through order + v, so every coefficient of a returns
+    base, elem, _ = SERIES_BASES[name]
+    R = LaurentSeries(base, "q", 12, 6)
+    rng = random.Random(f"{name}/{sorted(d)}")
+    for _ in range(3):
+        a = _series(R, elem, rng, range(-6 - min(d), 13))
+        assert R.divide(R.mul(a, d), d) == a
+
+
+def test_laurent_divide_rejects_positive_valuation_and_zero():
+    R = LaurentSeries(QQ, "q", 6, 3)
+    with pytest.raises(ValueError, match="valuation 1"):
+        R.divide(R.one(), {1: Fraction(1), 2: Fraction(1)})
+    with pytest.raises(NotAUnitError):
+        R.divide(R.one(), {})
+
+
+MUL_CASES = [
+    # ring, exponent range of the random operands
+    (PowerSeries(QQ, "q", 10), range(0, 11)),
+    (PowerSeries(ZL, "q", 6), range(0, 7)),
+    (LaurentSeries(IntegersMod(8), "q", 6, 4), range(-2, 7)),
+    (LaurentSeries(Integers(), "q", 0, 5), range(-2, 1)),
+    (LaurentPolynomials(IntegersMod(8), "L"), range(-5, 6)),
+    (LaurentPolynomials(Integers((2,)), "L"), range(-3, 4)),
+]
+
+
+@pytest.mark.parametrize("R,exps", MUL_CASES, ids=[R.descriptor() for R, _ in MUL_CASES])
+def test_series_mul_and_add_match_all_pairs(R, exps):
+    elem = {
+        "Q": _frac,
+        "Z/8": lambda rng: rng.randrange(8),
+        "Z": lambda rng: Fraction(rng.randint(-4, 4)),
+        "Z[1/2]": lambda rng: Fraction(rng.randint(-4, 4), 2),
+        "laurpoly(Z;L)": SERIES_BASES["laurpoly(Z)"][1],
+    }[R.base.descriptor()]
+    rng = random.Random(R.descriptor())
+    hi = R.order if hasattr(R, "order") else None
+    for trial in range(12):
+        a = _series(R, elem, rng, rng.sample(list(exps), rng.randint(0, len(exps))))
+        b = _series(R, elem, rng, rng.sample(list(exps), rng.randint(0, len(exps))))
+        assert R.mul(a, b) == s_mul_all_pairs(R.base, a, b, hi), trial
+        total = R.normalize({e: R.base.add(a.get(e, R.base.zero()), b.get(e, R.base.zero())) for e in {*a, *b}})
+        assert R.add(a, b) == total, trial
+
+
+def test_series_mul_below_the_window_still_raises():
+    R = LaurentSeries(IntegersMod(8), "q", 6, 4)
+    # the offending pair's coefficients multiply to zero: still an error
+    with pytest.raises(TailOverflowError, match="exponent -5"):
+        R.mul({-2: 4, 3: 1}, {-3: 2, 0: 1})
+    assert R.mul({-2: 4, 3: 1}, {-2: 2, 0: 1}) == {-2: 4, 1: 2, 3: 1}

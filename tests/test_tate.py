@@ -31,7 +31,7 @@ from fglcalc.tate import (
     theta_vanishes_at,
 )
 
-from oracles import sigma_in_x_oracle, sigma_oracle
+from oracles import sigma_in_x_oracle, sigma_oracle, theta_cutoff_oracle
 
 QQ = Rationals()
 
@@ -156,6 +156,23 @@ def test_theta_multiplicative_matches_sigma():
         s = sigma_series(N)
         for qe in range(N + 1):
             assert normalized.data.get(qe, {}) == s.data.get(qe, {}), (N, qe)
+
+
+@pytest.mark.parametrize(
+    "cutoff,q_order",
+    [(1, 0), (1, 30), (2, 1), (3, 17), (4, 2), (5, 25), (6, 6), (7, 4), (8, 8), (8, 30)],
+)
+def test_theta_multiplicative_matches_cutoff_oracle(cutoff, q_order):
+    # the raw and normalized products, every (q, L) entry, at q-orders
+    # below, at and far above the cutoff
+    raw, normalized = theta_multiplicative_L(cutoff, q_order)
+    want_raw, want_normalized = theta_cutoff_oracle(cutoff, q_order)
+
+    def flat(el):
+        return {(qe, le): c for qe, row in el.data.items() for le, c in row.items()}
+
+    assert flat(raw) == want_raw
+    assert flat(normalized) == want_normalized
 
 
 def test_sine_series_closed_form():
