@@ -3,8 +3,7 @@
 
 The left side divides the cutoff product out of the top class; the
 right side evaluates the Todd-style density of the transported law.
-They agree exactly for the additive law and on the trusted q-window
-for the multiplicative one.
+They agree exactly, on every stored coefficient, for both laws.
 
 Usage: python3 scripts/loop_compare.py --manifold cp2 --law gm --N 3
 """
@@ -40,20 +39,17 @@ def main():
             trunc=d + 4, qhat_order=2, tail=4 * d + 4 + 2 * args.N,
             unit_bound=args.N,
         )
-        trust = None
     else:
         ctx = multiplicative_context(
             trunc=d + 2, q_order=args.qorder + 6 * args.N + 10,
             tail=4 * args.N + 2 * d + 8, unit_bound=args.N,
         )
-        trust = (-args.qorder, args.qorder)
 
     val = loop_genus(X, ctx, args.N)
-    agree = loop_vs_quotient_check(X, ctx, args.N, trust=trust)
-    window = "exact" if trust is None else f"q-window [{trust[0]}, {trust[1]}]"
+    agree = loop_vs_quotient_check(X, ctx, args.N)
     print(f"loop genus of {args.manifold} ({args.law}, N={args.N}):")
     print(f"  {val.ring.text(val.data)}")
-    print(f"quotient comparison ({window}): {'agree' if agree else 'DISAGREE'}")
+    print(f"quotient comparison (exact): {'agree' if agree else 'DISAGREE'}")
 
 
 if __name__ == "__main__":

@@ -473,8 +473,7 @@ def _cmd_genus(a) -> tuple[int, dict]:
         return 0, element_document(v)
     if a.action == "loop-vs-quotient":
         ctx = _context_for(a.law, d, a.N, a.qorder)
-        trust = None if a.law == "ga" else (-a.qorder, a.qorder)
-        ok = loop_vs_quotient_check(Xd, ctx, a.N, trust=trust)
+        ok = loop_vs_quotient_check(Xd, ctx, a.N)
         return (0 if ok else 1), {"kind": "report", "ok": ok}
     if a.action == "chi":
         v = chi_residue(Xd, _rational_arg(a.r, "--r"))

@@ -24,10 +24,20 @@ windows are sharper at the bottom than at the top: exponents that would
 fall below -tail raise TailOverflowError, exponents above the order are
 dropped.  When negative and positive exponents mix, coefficients within
 (combined negative valuation) of the order can be silently lost, so
-computations allocate order headroom and read answers only below it.
-Division by a divisor of valuation v <= 0 is the exception: long division
-reads the dividend only through order + v, which a product by a Laurent
-polynomial of valuation v still gets right.
+products of Laurent polynomials in a window (the equivariant Euler
+classes and the Thom tower stages) allocate order headroom and read
+answers only below it.
+
+Every ring divides through one entry point, divide(a, d).  The default
+is a * d^-1.  Power and Laurent series rings divide by long division,
+and in a Laurent window that division is exact:
+
+* for a divisor of valuation v <= 0, long division reads the dividend
+  only through order + v, so a product by a Laurent polynomial of
+  valuation v still divides back exactly;
+* a monomial divisor c q^v with v > 0 is a shift, exact through
+  order - v, and a quotient below the window raises TailOverflowError;
+* any other divisor of positive valuation raises ValueError.
 """
 
 from __future__ import annotations
@@ -93,6 +103,11 @@ class Ring:
     def invert(self, a: Payload) -> Payload:
         raise NotImplementedError
 
+    def divide(self, a: Payload, d: Payload) -> Payload:
+        """a / d for a unit d.  Power series and Laurent series rings
+        override this with a long division that needs no inverse of d."""
+        return self.mul(a, self.invert(d))
+
     def pow(self, a: Payload, n: int) -> Payload:
         if n < 0:
             return self.pow(self.invert(a), -n)
@@ -105,18 +120,6 @@ class Ring:
             if n:
                 square = self.mul(square, square)
         return result
-
-    def sum(self, items: Iterable[Payload]) -> Payload:
-        total = self.zero()
-        for item in items:
-            total = self.add(total, item)
-        return total
-
-    def prod(self, items: Iterable[Payload]) -> Payload:
-        total = self.one()
-        for item in items:
-            total = self.mul(total, item)
-        return total
 
     def nilpotency_order(self, a: Payload, cap: int) -> Optional[int]:
         """Smallest k <= cap with a^k = 0, or None."""
@@ -458,11 +461,9 @@ class _SeriesLike(Ring):
         return {0: c} if not self.base.is_zero(c) else {}
 
     def param_payload(self, power: int = 1) -> Payload:
-        self._check_exponent(power)
+        if not self._check_exponent(power):
+            return {}
         return {power: self.base.one()}
-
-    def param_el(self, power: int = 1) -> "RingElement":
-        return self.wrap(self.param_payload(power))
 
     def _check_exponent(self, e: int) -> bool:
         """True when e is storable, False when it truncates away."""
@@ -560,20 +561,6 @@ class _SeriesLike(Ring):
                     out[e] = q
         return out
 
-    def scalar_mul(self, c: Payload, a: Payload) -> Payload:
-        out = {}
-        for e, v in a.items():
-            p = self.base.mul(c, v)
-            if not self.base.is_zero(p):
-                out[e] = p
-        return out
-
-    def valuation(self, a: Payload) -> Optional[int]:
-        return min(a) if a else None
-
-    def coefficient(self, a: Payload, e: int) -> Payload:
-        return a.get(e, self.base.zero())
-
     def has_rational_scalars(self):
         return self.base.has_rational_scalars()
 
@@ -650,10 +637,13 @@ class LaurentSeries(_SeriesLike):
 
     * divide(a, d) takes d of valuation v <= 0 and is exact through the
       order whenever a is exact through order + v and d is a Laurent
-      polynomial inside the window, so it needs no headroom;
+      polynomial inside the window, so it needs no headroom.  It also
+      takes a monomial c q^v with v > 0: the quotient is a shift, exact
+      through order - v, and it raises TailOverflowError when it falls
+      below the window.  Any other d of positive valuation raises
+      ValueError;
     * invert(a) of an element of valuation v returns coefficients that
-      are only trustworthy up to order - 2v when v > 0; allocate
-      headroom accordingly.
+      are only trustworthy up to order - 2v when v > 0.
     """
 
     base: Ring
@@ -672,17 +662,23 @@ class LaurentSeries(_SeriesLike):
         return self.order
 
     def divide(self, a: Payload, d: Payload) -> Payload:
-        """a / d for d of valuation v <= 0 whose lowest coefficient is a
-        unit.  Coefficients through the order are exact when a is exact
-        through order + v and d through order + 2v - val(a); in
-        particular whenever d is a Laurent polynomial inside the window."""
+        """a / d for d whose lowest coefficient is a unit, of valuation
+        v <= 0 or a monomial.  For v <= 0, coefficients through the
+        order are exact when a is exact through order + v and d through
+        order + 2v - val(a); in particular whenever d is a Laurent
+        polynomial inside the window.  For a monomial c q^v with v > 0
+        the quotient is a shift, exact through order - v."""
         if not d:
             raise NotAUnitError("0 is not invertible")
         v = min(d)
         if v > 0:
-            raise ValueError(
-                f"divisor of valuation {v} > 0 is not exact in a window; use invert"
-            )
+            if len(d) > 1:
+                raise ValueError(
+                    f"divisor of valuation {v} > 0 is exact in a window "
+                    "only as a monomial"
+                )
+            if a:
+                self._check_exponent(min(a) - v)  # the quotient must fit
         return self._long_divide(a, d, self.order)
 
     def invert(self, a):
@@ -724,16 +720,6 @@ class LaurentPolynomials(_SeriesLike):
             )
         ((e, c),) = a.items()
         return {-e: self.base.invert(c)}
-
-    def substitute_param_power(self, a: Payload, k: int) -> Payload:
-        """param -> param^k, an injective ring map for k != 0."""
-        if k == 0:
-            raise ValueError("degenerate substitution")
-        return {e * k: c for e, c in a.items()}
-
-    def eval_at_one(self, a: Payload) -> Payload:
-        """Sum of coefficients, the ring map param -> 1."""
-        return self.base.sum(a.values())
 
     def descriptor(self):
         return f"laurpoly({self.base.descriptor()};{self.param})"
@@ -786,9 +772,6 @@ class QuotientRing(Ring):
         exps = [0] * len(self.gens)
         exps[i] = power
         return self._reduce({tuple(exps): self.base.one()})
-
-    def gen_el(self, name: str, power: int = 1) -> "RingElement":
-        return self.wrap(self.gen_payload(name, power))
 
     def _reduce(self, data: dict) -> dict:
         out: dict[tuple[int, ...], Payload] = {}
@@ -845,9 +828,6 @@ class QuotientRing(Ring):
                 else:
                     raw[exps] = s
         return self._reduce(raw)
-
-    def constant_part(self, a) -> Payload:
-        return a.get(self._zero_exps(), self.base.zero())
 
     def invert(self, a):
         zero_exps = self._zero_exps()

@@ -32,6 +32,7 @@ from .fgl import (
     n_series_element,
 )
 from .polyseries import MultiSeries, series
+from .tate import division_points
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,7 @@ def make_context(
     if qhat.ring != law.ring:
         raise RingMismatchError("qhat must live over the law's ring")
     if localized:
-        for k in range(1, unit_bound + 1):
-            for kk in (k, -k):
-                u = n_series_element(law, kk, qhat)
-                if not u.is_unit():
-                    raise NotAUnitError(
-                        f"[{kk}](qhat) = {u} is not a unit; "
-                        "the declared localization is not suitable"
-                    )
+        division_points(law, qhat, unit_bound)
     return EquivariantContext(law, qhat, localized, unit_bound)
 
 

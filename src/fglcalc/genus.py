@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .coefficients import (
     GaussianRationals,
@@ -266,19 +265,16 @@ def loop_genus_sigma(Xd: ChernData, q_order: int) -> RingElement:
 
 
 def loop_vs_quotient_check(
-    Xd: ChernData,
-    context: EquivariantContext,
-    cutoff: int,
-    trust: Optional[tuple[int, int]] = None,
+    Xd: ChernData, context: EquivariantContext, cutoff: int
 ) -> bool:
     """The central comparison: the renormalized loop genus equals the
     plain genus of the law transported along Theta(.; qhat).
 
     Left side: direct product expansion.  Right side: transport the
     law along the cutoff theta, rebuild its exponential from the law
-    itself, and evaluate that genus.  ``trust`` restricts the
-    comparison to a window of coefficient exponents, for Laurent
-    coefficient rings whose top orders carry truncation junk.
+    itself, and evaluate that genus.  Both sides are compared on every
+    stored coefficient: theta_series divides exactly, so a Laurent
+    coefficient window carries no truncation junk to exclude.
     """
     lhs = loop_genus(Xd, context, cutoff)
 
@@ -286,13 +282,7 @@ def loop_vs_quotient_check(
     th = theta_series(context.law, context.qhat, cutoff, law.trunc)
     iso = transport(law, th.series)
     rhs = genus_eval(Xd, todd_series_of(iso.target).with_trunc(Xd.dimension))
-
-    if trust is None:
-        return lhs == rhs
-    lo, hi = trust
-    keep_l = {e: c for e, c in lhs.data.items() if lo <= e <= hi}
-    keep_r = {e: c for e, c in rhs.data.items() if lo <= e <= hi}
-    return keep_l == keep_r
+    return lhs == rhs
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coefficients import PowerSeries, Rationals, RingElement
+from .coefficients import PowerSeries, Rationals
 from .equivariant import EqBundle, EquivariantContext, bundle, euler_class
 from .errors import NonConvergentError, NotAUnitError
 from .polyseries import MultiSeries, divide_by_var, series
@@ -108,17 +108,19 @@ def relative_omega(T: ThomTower, cutoff: int, x_trunc=None) -> MultiSeries:
     """The stage-cutoff multiplier relative to the trivial bundle of
     the same rank: prod over roots x_j and 0 < |k| <= cutoff of
     (x_j +_F [k](qhat)) / [k](qhat).  Times prod x_j this is the
-    product of the renormalized theta series of the roots."""
-    ctx = T.context
+    product of the renormalized theta series of the roots.
+
+    The numerator u_cutoff is divided by prod [k](qhat)^rank one
+    coefficient at a time with the ring's divide, which is exact in a
+    Laurent window (see coefficients)."""
+    ring = T.context.ring
     num = unit_u(T, cutoff, x_trunc)
     rank = T.bundle.rank()
-    denom = ctx.ring.one()
+    denom = ring.one()
     for k in range(1, cutoff + 1):
         for kk in (k, -k):
-            denom = ctx.ring.mul(
-                denom, ctx.ring.pow(ctx.division_point(kk).data, rank)
-            )
-    return num * RingElement(ctx.ring, ctx.ring.invert(denom))
+            denom = ring.mul(denom, ring.pow(T.context.division_point(kk).data, rank))
+    return num.map_coefficients(lambda c: ring.divide(c, denom), ring)
 
 
 def _root_blocks(V: EqBundle) -> list[tuple[str, int]]:
@@ -192,13 +194,16 @@ def stabilize(
     qring = PowerSeries(Rationals(), "q", q_order)
     ctx = series(qring, vars_, trunc)
     partials = [ctx.one()]
+    # L = 1 - x_r and 1/L depend only on the root
+    per_root = []
+    for r, m in roots:
+        L = ctx.one() - ctx.var(r)
+        per_root.append((L, L.series_inverse(), m))
     for k in range(1, q_order + 1):
         inc = ctx.one()
         qk = qring.param_payload(k)
         inv2 = qring.pow(qring.invert(qring.sub(qring.one(), qk)), 2)
-        for r, m in roots:
-            L = ctx.one() - ctx.var(r)
-            geo = L.series_inverse()
+        for L, geo, m in per_root:
             f1 = ctx.one() - L * ctx.const(qk)
             f2 = ctx.one() - geo * ctx.const(qk)
             inc = inc * (f1 * f2 * ctx.const(inv2)) ** m

@@ -7,7 +7,7 @@ qhat is
 
 which demands every [k](qhat) in range to be a unit (the suitability
 condition on the coefficient ring).  Two closed-form expansions anchor
-the two classical cases: the sine expansion t^{-1} sin(t x - pi r) in a
+the two classical cases: the sine expansion t^{-1} sin(t x) in a
 formal parameter t for the additive law, and the Weierstrass expansion
 
     sigma(L, q) = (1 - L) prod_{k>0} (1 - q^k L)(1 - q^k L^{-1}) / (1 - q^k)^2
@@ -22,9 +22,10 @@ that product: by the Jacobi triple product and Jacobi's identity for
 
 two sums with O(sqrt(N)) terms each, so sigma to q-order N costs one
 power series inverse over Z.  The cutoff products are the finite
-objects checked against this closed form.  They divide by their
-division points with an exact long division, which needs no precision
-headroom in the Laurent window they are computed in.
+objects checked against this closed form.  Both cutoff products,
+theta_series and theta_multiplicative_L, divide by their division
+points with the ring's exact divide, which needs no precision headroom
+in the Laurent window they are computed in.
 
 The Tate extension group T(F)(A) consists of pairs (g, a) with g a
 point of F and a in Q cap [0, 1), multiplied with a carry:
@@ -104,6 +105,12 @@ def theta_series(
 ) -> ThetaSeries:
     """The cutoff renormalized product as a series in x.
 
+    Each of the 2 * cutoff factors is applied as
+    th <- (th * (x +_F u)) / u, dividing every x-coefficient by the
+    division point u with the ring's divide, as theta_multiplicative_L
+    does; in a Laurent window that division is exact (see
+    coefficients), so the product carries no truncation junk from it.
+
     For a truncated (non-exact) law the law's truncation must dominate
     x_trunc plus the nilpotency order of the division points, so that
     the tail of the law cannot leak into the reported coefficients.
@@ -126,23 +133,22 @@ def theta_series(
                 f"law truncation {F.trunc} too small: need at least "
                 f"{x_trunc + worst - 1} for x-degree {x_trunc}"
             )
-    x = series(F.ring, (X,), x_trunc).var(X)
+    ring = F.ring
+    x = series(ring, (X,), x_trunc).var(X)
     th = x
     for k in range(1, cutoff + 1):
         for kk in (k, -k):
             u = points[kk]
-            th = th * law_apply(F, x, u) * u.inverse()
+            th = (th * law_apply(F, x, u)).map_coefficients(
+                lambda c: ring.divide(c, u.data), ring
+            )
     return ThetaSeries(law=F, qhat=qhat, cutoff=cutoff, series=th)
 
 
-def theta_vanishes_at(
-    theta: ThetaSeries, k: int, up_to: Optional[int] = None
-) -> bool:
+def theta_vanishes_at(theta: ThetaSeries, k: int) -> bool:
     """Does the expanded product vanish at the division point [k](qhat)?
 
     True for 0 < |k| <= cutoff if the expansion preserved the kernel.
-    When the coefficients live in a Laurent window, pass up_to: only
-    exponents <= up_to are required to vanish.
     """
     u = n_series_element(theta.law, k, theta.qhat)
     if theta.law.exact:
@@ -158,12 +164,7 @@ def theta_vanishes_at(
         mode = "exact"
     else:
         mode = "strict"
-    value = theta.series.eval_elements({X: u}, mode=mode)
-    if up_to is None:
-        return value.is_zero()
-    # window arithmetic leaves junk near the top of a Laurent window;
-    # vanishing is only claimed through the caller's trusted order
-    return all(e > up_to for e in value.data)
+    return theta.series.eval_elements({X: u}, mode=mode).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -242,46 +243,6 @@ def sine_series(x_trunc: int, t_order: int) -> MultiSeries:
         if 2 * m <= t_order:
             coeff = Fraction((-1) ** m, math.factorial(2 * m + 1))
             terms[(2 * m + 1,)] = {2 * m: coeff}
-        m += 1
-    return MultiSeries(ring, (X,), x_trunc, terms, _canonical=True)
-
-
-def sine_modified(
-    r: Fraction, x_trunc: int, t_order: int, shift: int = 0
-) -> MultiSeries:
-    """t^{-1} sin(t x - pi r), optionally shifted by ``shift`` periods.
-
-    The shift argument implements x -> x + shift * qhat at the level of
-    the expansion, where t qhat = pi turns the translation into adding
-    shift * pi inside the sine, hence a sign (-1)^shift.
-
-    Expanding: t^{-1} sin(t x - pi r)
-      = cos(pi r) sin(t x)/t - sin(pi r) cos(t x)/t.
-    """
-    base, sin_val, cos_val = sincos_pi(Fraction(r))
-    ring = LaurentSeries(base, "t", t_order, 1)
-    sign = base.one() if shift % 2 == 0 else base.neg(base.one())
-    terms = {}
-    m = 0
-    while 2 * m <= x_trunc:
-        # sin branch: cos(pi r) * (-1)^m t^{2m} x^{2m+1} / (2m+1)!
-        if 2 * m + 1 <= x_trunc and 2 * m <= t_order:
-            c = base.mul(
-                cos_val,
-                base.from_fraction(Fraction((-1) ** m, math.factorial(2 * m + 1))),
-            )
-            c = base.mul(c, sign)
-            if not base.is_zero(c):
-                terms[(2 * m + 1,)] = {2 * m: c}
-        # cos branch: -sin(pi r) * (-1)^m t^{2m-1} x^{2m} / (2m)!
-        if 2 * m - 1 <= t_order:
-            c = base.mul(
-                sin_val,
-                base.from_fraction(Fraction(-((-1) ** m), math.factorial(2 * m))),
-            )
-            c = base.mul(c, sign)
-            if not base.is_zero(c):
-                terms[(2 * m,)] = {2 * m - 1: c}
         m += 1
     return MultiSeries(ring, (X,), x_trunc, terms, _canonical=True)
 

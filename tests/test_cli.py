@@ -305,15 +305,95 @@ NEGATIVE_CUTOFF_ARGV = [
     ["theta", "--law", "gm", "--N", "-1"],
     ["theta", "--law", "ga", "--N", "-1"],
     ["genus", "loop", "--manifold", "cp1", "--law", "gm", "--N", "-1"],
+    ["euler", "--law", "gm", "--N", "-1"],
 ]
 
 
-@pytest.mark.parametrize("argv", NEGATIVE_CUTOFF_ARGV, ids=["theta-gm", "theta-ga", "genus-loop-gm"])
+@pytest.mark.parametrize(
+    "argv", NEGATIVE_CUTOFF_ARGV, ids=["theta-gm", "theta-ga", "genus-loop-gm", "euler-gm"]
+)
 def test_negative_cutoff_exit_two(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["InputError: cutoff must be nonnegative"]
+
+
+# ------------------------------------------------------ Laurent windows
+
+
+GROW = 16
+
+WINDOW_ARGV = [
+    *(
+        ["genus", "loop", "--manifold", m, "--law", "gm", "--N", n]
+        for m in ("cp1", "cp2", "cp1xcp1")
+        for n in ("2", "3")
+    ),
+    ["tower", "relative", "--law", "gm", "--blocks", "x:0:1", "--N", "2"],
+    ["tower", "relative", "--law", "gm", "--blocks", "x:1:1", "--N", "2", "--n", "2"],
+    ["tower", "relative", "--law", "ga", "--blocks", "x:0:1", "--N", "2"],
+    ["theta", "--law", "ga", "--N", "3"],
+]
+
+
+def _grow_windows(monkeypatch):
+    """Enlarge the order and tail of every Laurent window the CLI builds."""
+    import fglcalc.cli as cli
+
+    add, mul, laurent = cli.additive_context, cli.multiplicative_context, cli.LaurentSeries
+
+    def grown_add(trunc, qhat_order, tail=0, **kw):
+        return add(trunc, qhat_order + GROW, tail + GROW, **kw)
+
+    def grown_mul(trunc, q_order, tail=0, **kw):
+        return mul(trunc, q_order + GROW, tail + GROW, **kw)
+
+    monkeypatch.setattr(cli, "additive_context", grown_add)
+    monkeypatch.setattr(cli, "multiplicative_context", grown_mul)
+    monkeypatch.setattr(
+        cli, "LaurentSeries",
+        lambda base, param, order, tail: laurent(base, param, order + GROW, tail + GROW),
+    )
+
+
+def _window_payloads(doc):
+    """(window order, payload) of each Laurent coefficient of an element
+    or series document, keyed by its exponent vector."""
+    R = parse_ring(doc["coeff_ring"])
+    assert R.descriptor().startswith("laurent(")
+    if doc["kind"] == "element":
+        return R.order, {(): R.parse(doc["value"])}
+    return R.order, {tuple(t["exponents"]): R.parse(t["coeff"]) for t in doc["terms"]}
+
+
+@pytest.mark.parametrize("argv", WINDOW_ARGV, ids=lambda a: "_".join(w.lstrip("-") for w in a))
+def test_printed_coefficients_survive_a_larger_window(capsys, monkeypatch, argv):
+    # a printed coefficient that moves when the window grows is truncation
+    # junk; every division by a division point must leave none
+    code, out, _ = invoke(capsys, "--format", "json", *argv)
+    assert code == 0
+    order, printed = _window_payloads(json.loads(out))
+    with monkeypatch.context() as m:
+        _grow_windows(m)
+        code, out, _ = invoke(capsys, "--format", "json", *argv)
+    assert code == 0
+    big_order, grown = _window_payloads(json.loads(out))
+    assert big_order == order + GROW
+    for exps in printed.keys() | grown.keys():
+        kept = {e: c for e, c in grown.get(exps, {}).items() if e <= order}
+        assert printed.get(exps, {}) == kept, exps
+
+
+def test_genus_loop_gm_top_coefficients(capsys):
+    # q^28 printed 294 and q^33, q^34 printed 297, 492 while windows
+    # divided by inverses that lost their top coefficients
+    code, out, _ = invoke(capsys, "genus", "loop", "--manifold", "cp2", "--law", "gm", "--N", "2")
+    assert code == 0
+    assert out.strip().endswith(",28:126]")
+    code, out, _ = invoke(capsys, "genus", "loop", "--manifold", "cp2", "--law", "gm", "--N", "3")
+    assert code == 0
+    assert out.strip().endswith(",33:132,34:153]")
 
 
 # -------------------------------------------------------- determinism

@@ -266,6 +266,56 @@ def test_laurent_divide_undoes_mul(name, d):
         assert R.divide(R.mul(a, d), d) == a
 
 
+@pytest.mark.parametrize("name", ["Q", "Z/9", "laurpoly(Z)"])
+@pytest.mark.parametrize("v", [1, 2, 5])
+def test_laurent_divide_by_monomial_is_a_shift(name, v):
+    # [k](qhat) = k qh in the additive windows: a positive-valuation
+    # monomial divides as a shift, exactly as multiplying by its inverse
+    base, elem, unit = SERIES_BASES[name]
+    R = LaurentSeries(base, "q", 12, 6)
+    d = {v: unit}
+    rng = random.Random(f"{name}/{v}")
+    for _ in range(3):
+        a = _series(R, elem, rng, range(v - 6, 13))
+        assert R.divide(a, d) == R.mul(a, R.invert(d))
+        assert R.divide({}, d) == {}
+    # a quotient below the window is an error, as for the product
+    low = R.normalize({v - 7: unit, 3: unit})
+    with pytest.raises(TailOverflowError, match="exponent -7 "):
+        R.divide(low, d)
+    with pytest.raises(TailOverflowError):
+        R.mul(low, R.invert(d))
+
+
+def test_default_divide_multiplies_by_the_inverse():
+    # one division entry point on every ring; rings without a long
+    # division divide as a * d^-1
+    w2 = quotient_ring(QQ, ["w"], {"w": (2, {(0,): Fraction(2)})})
+    w = w2.gen_payload("w")
+    cases = [
+        (QQ, Fraction(-7, 3), Fraction(5, 4)),
+        (IntegersMod(9), 5, 4),
+        (w2, w2.add(w2.one(), w), w2.sub(w2.from_int(3), w)),
+    ]
+    for R, a, d in cases:
+        assert R.divide(a, d) == R.mul(a, R.invert(d))
+        assert R.mul(R.divide(a, d), d) == a
+    with pytest.raises(NotAUnitError):
+        IntegersMod(9).divide(1, 3)
+
+
+def test_param_payload_above_the_order_truncates():
+    # a power above the order is zero in the ring, as mul says
+    for R in (PowerSeries(QQ, "q", 3), LaurentSeries(QQ, "q", 3, 2)):
+        assert R.param_payload(5) == {}
+        assert R.param_payload(5) == R.mul(R.param_payload(2), R.param_payload(3))
+        assert R.param_payload(3) == {3: Fraction(1)}
+    with pytest.raises(TailOverflowError):
+        LaurentSeries(QQ, "q", 3, 2).param_payload(-3)
+    with pytest.raises(TailOverflowError):
+        PowerSeries(QQ, "q", 3).param_payload(-1)
+
+
 def test_laurent_divide_rejects_positive_valuation_and_zero():
     R = LaurentSeries(QQ, "q", 6, 3)
     with pytest.raises(ValueError, match="valuation 1"):

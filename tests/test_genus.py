@@ -207,9 +207,10 @@ def test_loop_vs_quotient_additive():
     assert loop_vs_quotient_check(cp(2), ctx, 3)
 
 
-def test_loop_vs_quotient_multiplicative_trusted_window():
-    ctx = multiplicative_context(trunc=4, q_order=40, tail=24, unit_bound=3)
-    assert loop_vs_quotient_check(cp(2), ctx, 3, trust=(-6, 6))
+def test_loop_vs_quotient_multiplicative_whole_window():
+    # every stored coefficient of the tight window [-3, 6] is compared
+    ctx = multiplicative_context(trunc=4, q_order=6, tail=3, unit_bound=3)
+    assert loop_vs_quotient_check(cp(2), ctx, 3)
 
 
 def test_loop_genus_sine_closed_form():
