@@ -19,7 +19,6 @@ from .coefficients import (
     Integers,
     IntegersMod,
     LaurentSeries,
-    PowerSeries,
     Rationals,
     RingElement,
     parse_ring,
@@ -36,12 +35,10 @@ from .equivariant import (
 from .errors import EngineError, LawAxiomError
 from .fgl import (
     X,
-    Y,
     additive_law,
     check_law_axioms,
     fgl_exp,
     fgl_log,
-    from_series,
     is_homomorphism,
     multiplicative_law,
     n_series,
@@ -181,15 +178,47 @@ def _law_arg(name: str, ring, trunc: int):
     raise ValueError(f"unknown law {name!r}")
 
 
+_MANIFOLD_JSON_SHAPE = (
+    '--manifold-json: expected a list of {"var": name, "top": int, '
+    '"roots": [[scale, multiplicity], ...]} blocks of integers'
+)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _manifold_blocks(text: str) -> tuple[ChernBlock, ...]:
+    """The blocks of --manifold-json; any other shape is bad input
+    named after the flag."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"--manifold-json: not JSON ({e})") from None
+    if not isinstance(data, list):
+        raise ValueError(_MANIFOLD_JSON_SHAPE)
+    blocks = []
+    for b in data:
+        if not (
+            isinstance(b, dict)
+            and isinstance(b.get("var"), str)
+            and _is_int(b.get("top"))
+            and isinstance(b.get("roots"), list)
+            and all(
+                isinstance(r, list) and len(r) == 2 and all(map(_is_int, r))
+                for r in b["roots"]
+            )
+        ):
+            raise ValueError(_MANIFOLD_JSON_SHAPE)
+        blocks.append(
+            ChernBlock(b["var"], b["top"], tuple((s, m) for s, m in b["roots"]))
+        )
+    return tuple(blocks)
+
+
 def _parse_manifold(token: str, json_blocks: str | None) -> ChernData:
     if json_blocks:
-        blocks = tuple(
-            ChernBlock(
-                b["var"], int(b["top"]), tuple((int(s), int(m)) for s, m in b["roots"])
-            )
-            for b in json.loads(json_blocks)
-        )
-        return ChernData(blocks=blocks, name="custom")
+        return ChernData(blocks=_manifold_blocks(json_blocks), name="custom")
     if token == "point":
         return point()
     parts = token.split("x")
@@ -629,6 +658,9 @@ def run(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        qorder = getattr(args, "qorder", 0)
+        if qorder < 0:
+            raise ValueError(f"--qorder must be nonnegative, got {qorder}")
         code, doc = args.fn(args)
     except LawAxiomError as e:
         print(f"LawAxiomFailure: {e}", file=sys.stderr)

@@ -5,8 +5,9 @@ operate on raw payloads:
 
     rationals               Fraction
     gaussian rationals      (Fraction, Fraction), real and imaginary parts
-    integers                Fraction whose denominator divides a power of
-                            the declared inverted elements
+    integers                int for plain Z; for Z[1/n], Fraction whose
+                            denominator divides a power of the declared
+                            inverted elements
     integers mod m          int in [0, m)
     power series            {exponent: base payload}, 0 <= exponent <= order
     laurent series          {exponent: base payload}, -tail <= exponent <= order
@@ -15,6 +16,8 @@ operate on raw payloads:
                             ring's rewrite relations
 
 Payloads never store explicit zeros, so payload equality is plain ``==``.
+normalize() turns externally built data into these types and rejects
+bool and float, so no inexact value reaches the arithmetic.
 Rings nest freely (a Laurent series ring over a quotient ring over the
 integers is fine) and the same operation set works at every level.
 
@@ -43,6 +46,7 @@ and in a Laurent window that division is exact:
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,6 +137,17 @@ class Ring:
     def has_rational_scalars(self) -> bool:
         raise NotImplementedError
 
+    def lower_terms(self, terms: dict) -> Optional[tuple[dict, int]]:
+        """The payloads of terms as integers over one common denominator,
+        (integer terms, denominator), or None when this ring keeps its
+        own payloads in products.  Only Rationals lowers."""
+        return None
+
+    def lift_terms(self, terms: dict, den: int) -> dict:
+        """Payloads n / den for integer terms from lower_terms, zeros
+        dropped; the inverse of lower_terms up to the denominator."""
+        raise NotImplementedError
+
     def normalize(self, data: Payload) -> Payload:
         """Bring externally built data into canonical form."""
         return data
@@ -170,6 +185,14 @@ def _parse_fraction(s: str) -> Fraction:
     if not _FRACTION_RE.match(s):
         raise ValueError(f"not a rational literal: {s!r}")
     return Fraction(s)
+
+
+def _exact_rational(value) -> Fraction:
+    """An int or Fraction payload as a Fraction; bool, float and every
+    other type raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{value!r} is not an exact rational payload")
+    return Fraction(value)
 
 
 def _split_top(s: str, sep: str = ",") -> list[str]:
@@ -235,10 +258,20 @@ class Rationals(Ring):
     def invert(self, a):
         if a == 0:
             raise NotAUnitError("0 is not invertible in Q")
-        return 1 / a
+        return Fraction(a.denominator, a.numerator)
 
     def has_rational_scalars(self):
         return True
+
+    def lower_terms(self, terms):
+        den = math.lcm(*[c.denominator for c in terms.values()])
+        return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+    def lift_terms(self, terms, den):
+        return {k: Fraction(n, den) for k, n in terms.items() if n}
+
+    def normalize(self, data):
+        return _exact_rational(data)
 
     def text(self, a):
         return str(a)
@@ -287,6 +320,10 @@ class GaussianRationals(Ring):
     def has_rational_scalars(self):
         return True
 
+    def normalize(self, data):
+        re_part, im_part = data
+        return (_exact_rational(re_part), _exact_rational(im_part))
+
     def text(self, a):
         re_part, im_part = a
         if im_part == 0:
@@ -326,8 +363,9 @@ def _strip_factors(n: int, factors: tuple[int, ...]) -> int:
 class Integers(Ring):
     """Z, optionally with finitely many declared elements made invertible.
 
-    Payloads are Fractions whose denominator divides a product of powers
-    of the inverted elements, so Integers((3,)) is Z[1/3].
+    Plain Z stores int payloads.  With inverted elements the payloads
+    are Fractions whose denominator divides a product of powers of the
+    inverted elements, so Integers((3,)) is Z[1/3].
     """
 
     inverted: tuple[int, ...] = ()
@@ -338,10 +376,10 @@ class Integers(Ring):
                 raise ValueError(f"cannot invert {n}")
 
     def zero(self):
-        return Fraction(0)
+        return Fraction(0) if self.inverted else 0
 
     def from_int(self, n):
-        return Fraction(n)
+        return Fraction(n) if self.inverted else operator.index(n)
 
     def from_fraction(self, fr):
         fr = Fraction(fr)
@@ -349,7 +387,7 @@ class Integers(Ring):
             raise UnrepresentableError(
                 f"{fr} does not lie in {self.descriptor()}"
             )
-        return fr
+        return fr if self.inverted else fr.numerator
 
     def add(self, a, b):
         return a + b
@@ -368,10 +406,15 @@ class Integers(Ring):
             raise NotAUnitError("0 is not invertible")
         if _strip_factors(a.numerator, self.inverted) != 1:
             raise NotAUnitError(f"{a} is not a unit in {self.descriptor()}")
-        return 1 / a
+        if not self.inverted:
+            return a  # the units of Z are 1 and -1, each its own inverse
+        return Fraction(a.denominator, a.numerator)
 
     def has_rational_scalars(self):
         return False
+
+    def normalize(self, data):
+        return self.from_fraction(_exact_rational(data))
 
     def text(self, a):
         return str(a)
@@ -504,6 +547,13 @@ class _SeriesLike(Ring):
             self._check_exponent(low)  # raises TailOverflowError
         base = self.base
         bmul, badd, bzero = base.mul, base.add, base.is_zero
+        # over Q the pairs run on integers over one common denominator per
+        # operand: one Fraction per output term, not one gcd per pair
+        lowered = base.lower_terms(a)
+        if lowered is not None:
+            a, den_a = lowered
+            b, den_b = base.lower_terms(b)
+            bmul, badd, bzero = operator.mul, operator.add, operator.not_
         # the longer operand in ascending order, so each row stops at hi
         terms = b.items() if hi is None else sorted(b.items(), key=itemgetter(0))
         out: dict[int, Payload] = {}
@@ -520,7 +570,7 @@ class _SeriesLike(Ring):
                     out.pop(e, None)
                 else:
                     out[e] = p
-        return out
+        return out if lowered is None else base.lift_terms(out, den_a * den_b)
 
     def _long_divide(self, a: Payload, d: Payload, top: int) -> Payload:
         """The quotient c = a / d by long division, through exponent top.

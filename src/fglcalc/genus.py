@@ -17,10 +17,8 @@ from fractions import Fraction
 
 from .coefficients import (
     GaussianRationals,
-    LaurentSeries,
     PowerSeries,
     Rationals,
-    Ring,
     RingElement,
 )
 from .equivariant import EquivariantContext

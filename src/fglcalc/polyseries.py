@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .coefficients import Payload, Ring, RingElement
 from .errors import (
@@ -155,9 +155,13 @@ class MultiSeries:
         out = dict(self.terms)
         ring = self.ring
         for exps, c in other.terms.items():
-            s = ring.add(out.get(exps, ring.zero()), c)
+            prev = out.get(exps)
+            if prev is None:
+                out[exps] = c
+                continue
+            s = ring.add(prev, c)
             if ring.is_zero(s):
-                out.pop(exps, None)
+                del out[exps]
             else:
                 out[exps] = s
         return self._make(out)
@@ -209,15 +213,21 @@ class MultiSeries:
         t1, t2 = self.terms, other.terms
         if len(t1) > len(t2):
             t1, t2 = t2, t1
+        mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+        # over Q the pairs run on integers over one common denominator per
+        # operand: one Fraction per output term, not one gcd per pair
+        lowered = ring.lower_terms(t1)
+        if lowered is not None:
+            t1, den1 = lowered
+            t2, den2 = ring.lower_terms(t2)
+            mul, add, is_zero = operator.mul, operator.add, operator.not_
         # the longer operand's terms by total degree, lowest first, so
         # each term of t1 visits only the partners that stay in range
         buckets: dict[int, list[tuple[Exps, Payload]]] = {}
         for e2, c2 in t2.items():
             buckets.setdefault(sum(e2), []).append((e2, c2))
         by_degree = sorted(buckets.items())
-        mul, add, is_zero = ring.mul, ring.add, ring.is_zero
         out: dict[Exps, Payload] = {}
-        zero = ring.zero()
         for e1, c1 in t1.items():
             room = trunc - sum(e1)
             for d2, partners in by_degree:
@@ -225,11 +235,16 @@ class MultiSeries:
                     break
                 for e2, c2 in partners:
                     e = tuple(map(operator.add, e1, e2))
-                    s = add(out.get(e, zero), mul(c1, c2))
-                    if is_zero(s):
+                    p = mul(c1, c2)
+                    prev = out.get(e)
+                    if prev is not None:
+                        p = add(prev, p)
+                    if is_zero(p):
                         out.pop(e, None)
                     else:
-                        out[e] = s
+                        out[e] = p
+        if lowered is not None:
+            out = ring.lift_terms(out, den1 * den2)
         return self._make(out)
 
     __rmul__ = __mul__

@@ -319,6 +319,60 @@ def test_negative_cutoff_exit_two(capsys, argv):
     assert err.splitlines() == ["InputError: cutoff must be nonnegative"]
 
 
+NEGATIVE_QORDER_ARGV = [
+    ["euler", "--law", "ga", "--blocks", "x:1:1", "--qorder", "-3"],
+    ["euler", "--law", "gm", "--qorder", "-16", "--N", "1"],
+    ["genus", "loop", "--manifold", "cp2", "--law", "gm", "--N", "2", "--qorder", "-40"],
+    ["sigma", "--qorder", "-3"],
+    ["theta", "--law", "gm", "--qorder", "-2"],
+    ["tower", "stabilize", "--law", "gm", "--blocks", "x:0:1", "--qorder", "-4"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    NEGATIVE_QORDER_ARGV,
+    ids=["euler-ga", "euler-gm", "genus-loop-gm", "sigma", "theta-gm", "tower-stabilize"],
+)
+def test_negative_qorder_exit_two(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"InputError: --qorder must be nonnegative, got {argv[argv.index('--qorder') + 1]}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "7",
+        "[1,2]",
+        '{"blocks": 3}',
+        '{"blocks":[{"top":1}]}',
+        '[{"var": "h", "top": 1}]',
+        '[{"var": "h", "top": "1", "roots": [[1, 2]]}]',
+        '[{"var": "h", "top": 1, "roots": [[1, 2, 3]]}]',
+        '[{"var": "h", "top": 1, "roots": [[1.5, 2]]}]',
+        "[{",
+    ],
+)
+def test_malformed_manifold_json_names_the_flag(capsys, text):
+    code, out, err = invoke(capsys, "genus", "eval", "--manifold-json", text)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("InputError: --manifold-json: ")
+
+
+def test_manifold_json_matches_the_named_manifold(capsys):
+    blocks = '[{"var": "h", "top": 2, "roots": [[1, 3]]}]'
+    assert invoke(capsys, "genus", "ahat", "--manifold-json", blocks)[:2] == invoke(
+        capsys, "genus", "ahat", "--manifold", "cp2"
+    )[:2]
+
+
 # ------------------------------------------------------ Laurent windows
 
 

@@ -18,7 +18,7 @@ from fglcalc.coefficients import (
     parse_ring,
     quotient_ring,
 )
-from fglcalc.errors import NotAUnitError, TailOverflowError
+from fglcalc.errors import NotAUnitError, TailOverflowError, UnrepresentableError
 
 from oracles import newton_inverse, s_mul_all_pairs
 
@@ -360,3 +360,79 @@ def test_series_mul_below_the_window_still_raises():
     with pytest.raises(TailOverflowError, match="exponent -5"):
         R.mul({-2: 4, 3: 1}, {-3: 2, 0: 1})
     assert R.mul({-2: 4, 3: 1}, {-2: 2, 0: 1}) == {-2: 4, 1: 2, 3: 1}
+
+
+# denominators pairwise coprime, so a wrong common denominator shows
+COPRIME = [Fraction(1, 2), Fraction(5, 7), Fraction(1, 1009), Fraction(-5, 7), Fraction(-3), Fraction(-1, 2)]
+
+Q_SERIES = [
+    (PowerSeries(QQ, "q", 8), range(0, 11)),
+    (LaurentSeries(QQ, "q", 6, 4), range(-2, 9)),
+    (LaurentPolynomials(QQ, "L"), range(-5, 6)),
+]
+
+
+@pytest.mark.parametrize("R,exps", Q_SERIES, ids=[R.descriptor() for R, _ in Q_SERIES])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_q_series_mul_over_one_denominator_matches_all_pairs(R, exps, data):
+    # max_size 8 starts at 0, so empty and one-term operands are drawn
+    terms = st.dictionaries(st.sampled_from(list(exps)), st.sampled_from(COPRIME), max_size=8)
+    a, b = R.normalize(data.draw(terms)), R.normalize(data.draw(terms))
+    hi = getattr(R, "order", None)
+    prod = R.mul(a, b)
+    assert prod == s_mul_all_pairs(QQ, a, b, hi)
+    assert all(type(c) is Fraction for c in prod.values())
+
+
+@pytest.mark.parametrize("R", [R for R, _ in Q_SERIES], ids=[R.descriptor() for R, _ in Q_SERIES])
+def test_q_series_mul_drops_coefficients_that_cancel(R):
+    # (1 + q/1009)(5/7 - 5/7063 q) = 5/7 - 5/7126489 q^2
+    a = {0: Fraction(1), 1: Fraction(1, 1009)}
+    b = {0: Fraction(5, 7), 1: Fraction(-5, 7063)}
+    assert R.mul(a, b) == {0: Fraction(5, 7), 2: Fraction(-5, 7063 * 1009)}
+    assert R.mul(a, {}) == {}
+
+
+# (ring, payload type): plain Z is int, Z[1/n] and Q are Fraction
+PAYLOAD_TYPES = [(Integers(), int), (Integers((2,)), Fraction), (QQ, Fraction)]
+
+
+@pytest.mark.parametrize("R,kind", PAYLOAD_TYPES, ids=[R.descriptor() for R, _ in PAYLOAD_TYPES])
+def test_payload_types_are_canonical(R, kind):
+    six, minus_one = R.from_int(6), R.from_fraction(Fraction(-1))
+    values = [
+        R.zero(), R.one(), six, minus_one, R.parse("-7"), R.normalize(5),
+        R.normalize(Fraction(4)), R.add(six, minus_one), R.mul(six, minus_one),
+        R.neg(six), R.invert(minus_one), R.divide(six, minus_one),
+    ]
+    if kind is Fraction:
+        values += [R.invert(R.from_int(2)), R.divide(six, R.normalize(4)), R.parse("3/2")]
+    assert [type(v) for v in values] == [kind] * len(values)
+    S = PowerSeries(R, "q", 6)
+    a = S.normalize({0: 6, 1: 3, 3: -2})
+    d = S.normalize({0: -1, 2: 1})
+    products = [*S.mul(a, d).values(), *S.divide(a, d).values(), *S.invert(d).values()]
+    assert products and [type(c) for c in products] == [kind] * len(products)
+
+
+def test_raw_payloads_invert_exactly():
+    # raw ints are normalized, so inverse() never falls back to float division
+    for R, raw, inverse in ((QQ, 5, Fraction(1, 5)), (Integers((2,)), 4, Fraction(1, 4))):
+        got = R.el(raw, raw=True).inverse().data
+        assert got == inverse and type(got) is Fraction
+    assert Integers().el(-1, raw=True).inverse().data == -1
+    re_part, im_part = GaussianRationals().el((1, 2), raw=True).inverse().data
+    assert (re_part, im_part) == (Fraction(1, 5), Fraction(-2, 5))
+    assert type(re_part) is Fraction and type(im_part) is Fraction
+    with pytest.raises(UnrepresentableError):
+        Integers((2,)).el(Fraction(1, 3), raw=True)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("R", [QQ, Integers(), Integers((2,)), GaussianRationals()], ids=lambda R: R.descriptor())
+def test_normalize_rejects_inexact_payloads(R, bad):
+    with pytest.raises(TypeError):
+        R.normalize((bad, 0) if isinstance(R, GaussianRationals) else bad)
+    with pytest.raises(TypeError):
+        PowerSeries(R, "q", 2).normalize({0: (bad, 0) if isinstance(R, GaussianRationals) else bad})

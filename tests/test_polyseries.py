@@ -233,3 +233,39 @@ def test_mul_matches_all_pairs_product(ring, modulus, vars, trunc):
     assert ((x + y) * (x - y)).terms == m_mul_all_pairs(
         (x + y).terms, (x - y).terms, trunc, modulus
     )
+
+
+# coefficients whose denominators are pairwise coprime, so a wrong common
+# denominator (a max, a sum or one operand's alone) shows in the product
+COPRIME = [Fraction(1, 2), Fraction(5, 7), Fraction(1, 1009), Fraction(-5, 7), Fraction(-3), Fraction(-1, 2)]
+
+
+def q_terms(nvars, trunc):
+    exps = st.tuples(*[st.integers(0, trunc)] * nvars).filter(lambda e: sum(e) <= trunc)
+    return st.dictionaries(exps, st.sampled_from(COPRIME), max_size=10)
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 12])
+@pytest.mark.parametrize("vars", [("x", "y"), ("x", "y", "z")], ids=["xy", "xyz"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_q_mul_over_one_denominator_matches_all_pairs(vars, trunc, data):
+    # max_size 10 starts at 0, so empty and one-term operands are drawn
+    a = series(QQ, vars, trunc, data.draw(q_terms(len(vars), trunc)))
+    b = series(QQ, vars, trunc, data.draw(q_terms(len(vars), trunc)))
+    prod = a * b
+    assert prod.terms == m_mul_all_pairs(a.terms, b.terms, trunc)
+    assert all(type(c) is Fraction for c in prod.terms.values())
+
+
+@pytest.mark.parametrize("trunc", [2, 12])
+def test_q_mul_drops_coefficients_that_cancel(trunc):
+    c = series(QQ, ("x", "y"), trunc)
+    x, y = c.var("x"), c.var("y")
+    # (x + 5/7 y)(x/1009 - 5/7063 y): the xy coefficients cancel to zero
+    a = x + y * Fraction(5, 7)
+    b = x * Fraction(1, 1009) - y * Fraction(5, 7063)
+    prod = a * b
+    assert prod.terms == m_mul_all_pairs(a.terms, b.terms, trunc)
+    assert (1, 1) not in prod.terms and len(prod.terms) == 2
+    assert (a * c.zero()).terms == {}

@@ -140,7 +140,7 @@ def test_sigma_functional_equation_iterated():
     for j in (-2, -1, 2):
         shifted = sigma_substitute_L(s, j, q_order, q_tail)
         R = shifted.ring
-        mult = {j * (j - 1) // 2: {j: (-1) ** j}}
+        mult = {j * (j - 1) // 2: {j: -1 if j % 2 else 1}}  # (-1)^j as an int
         lhs = R.wrap(R.mul(shifted.data, R.normalize(mult)))
         win_l = series_L_window(lhs, -6, 6)
         win_r = series_L_window(base, -6, 6)
