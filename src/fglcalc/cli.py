@@ -254,6 +254,14 @@ def _rational_arg(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag}: {text!r} is not a rational number") from None
 
 
+def _qorder_arg(qorder: int) -> int:
+    """--qorder for a command that reads it; a negative order is bad
+    input for the flag."""
+    if qorder < 0:
+        raise ValueError(f"--qorder must be nonnegative, got {qorder}")
+    return qorder
+
+
 def _theta_from_coeffs(ring, coeffs: str, trunc: int) -> MultiSeries:
     """x + c2 x^2 + c3 x^3 + ... from a comma list of rationals."""
     ctx = series(ring, (X,), trunc)
@@ -269,6 +277,7 @@ def _theta_from_coeffs(ring, coeffs: str, trunc: int) -> MultiSeries:
 def _context_for(law_name: str, dim: int, N: int, qorder: int) -> EquivariantContext:
     """Windows sized so the documented computations stay exact where
     they are expected to be: see the loop genus notes in genus.py."""
+    _qorder_arg(qorder)
     trunc = dim + 2
     if law_name == "ga":
         return additive_context(
@@ -383,6 +392,7 @@ def _cmd_quotient(a) -> tuple[int, dict]:
 
 
 def _cmd_theta(a) -> tuple[int, dict]:
+    _qorder_arg(a.qorder)
     if a.law == "gm":
         raw, normalized = theta_multiplicative_L(a.N, a.qorder)
         return 0, {
@@ -398,6 +408,7 @@ def _cmd_theta(a) -> tuple[int, dict]:
 
 
 def _cmd_sigma(a) -> tuple[int, dict]:
+    _qorder_arg(a.qorder)
     if a.modified is not None:
         el = sigma_modified(_rational_arg(a.modified, "--modified"), a.qorder)
     else:
@@ -511,6 +522,7 @@ def _cmd_genus(a) -> tuple[int, dict]:
 
 
 def _cmd_tower(a) -> tuple[int, dict]:
+    _qorder_arg(a.qorder)
     rank = sum(m for _, _, m in _parse_blocks(a.blocks))
     n_big = max(a.n, a.N, 6)
     if a.law == "ga":
@@ -658,9 +670,6 @@ def run(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        qorder = getattr(args, "qorder", 0)
-        if qorder < 0:
-            raise ValueError(f"--qorder must be nonnegative, got {qorder}")
         code, doc = args.fn(args)
     except LawAxiomError as e:
         print(f"LawAxiomFailure: {e}", file=sys.stderr)

@@ -137,16 +137,13 @@ class Ring:
     def has_rational_scalars(self) -> bool:
         raise NotImplementedError
 
-    def lower_terms(self, terms: dict) -> Optional[tuple[dict, int]]:
-        """The payloads of terms as integers over one common denominator,
-        (integer terms, denominator), or None when this ring keeps its
-        own payloads in products.  Only Rationals lowers."""
-        return None
-
-    def lift_terms(self, terms: dict, den: int) -> dict:
-        """Payloads n / den for integer terms from lower_terms, zeros
-        dropped; the inverse of lower_terms up to the denominator."""
-        raise NotImplementedError
+    def product_kernel(self, a: dict, b: dict) -> tuple:
+        """What a series product loop over this ring runs on:
+        (a, b, mul, add, is_zero, finish), the two operands' terms, the
+        pair operations, and finish, which turns the loop's output
+        terms back into payloads.  Every ring but Rationals runs on its
+        own payloads."""
+        return a, b, self.mul, self.add, self.is_zero, _same_terms
 
     def normalize(self, data: Payload) -> Payload:
         """Bring externally built data into canonical form."""
@@ -185,6 +182,16 @@ def _parse_fraction(s: str) -> Fraction:
     if not _FRACTION_RE.match(s):
         raise ValueError(f"not a rational literal: {s!r}")
     return Fraction(s)
+
+
+def _same_terms(terms: dict) -> dict:
+    return terms
+
+
+def _over_common_denominator(terms: dict) -> tuple[dict, int]:
+    """Rational terms as (integer numerators, their common denominator)."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 def _exact_rational(value) -> Fraction:
@@ -263,12 +270,17 @@ class Rationals(Ring):
     def has_rational_scalars(self):
         return True
 
-    def lower_terms(self, terms):
-        den = math.lcm(*[c.denominator for c in terms.values()])
-        return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+    def product_kernel(self, a, b):
+        # integers over one common denominator per operand: one Fraction
+        # per output term, not one gcd per pair
+        a, den_a = _over_common_denominator(a)
+        b, den_b = _over_common_denominator(b)
+        den = den_a * den_b
 
-    def lift_terms(self, terms, den):
-        return {k: Fraction(n, den) for k, n in terms.items() if n}
+        def finish(out):
+            return {k: Fraction(n, den) for k, n in out.items()}
+
+        return a, b, operator.mul, operator.add, operator.not_, finish
 
     def normalize(self, data):
         return _exact_rational(data)
@@ -545,15 +557,9 @@ class _SeriesLike(Ring):
         low = min(a) + min(b)
         if lo is not None and low < lo:
             self._check_exponent(low)  # raises TailOverflowError
-        base = self.base
-        bmul, badd, bzero = base.mul, base.add, base.is_zero
-        # over Q the pairs run on integers over one common denominator per
-        # operand: one Fraction per output term, not one gcd per pair
-        lowered = base.lower_terms(a)
-        if lowered is not None:
-            a, den_a = lowered
-            b, den_b = base.lower_terms(b)
-            bmul, badd, bzero = operator.mul, operator.add, operator.not_
+        # over Q the pairs run on integers: one denominator per product,
+        # not one gcd per pair
+        a, b, bmul, badd, bzero, finish = self.base.product_kernel(a, b)
         # the longer operand in ascending order, so each row stops at hi
         terms = b.items() if hi is None else sorted(b.items(), key=itemgetter(0))
         out: dict[int, Payload] = {}
@@ -570,7 +576,7 @@ class _SeriesLike(Ring):
                     out.pop(e, None)
                 else:
                     out[e] = p
-        return out if lowered is None else base.lift_terms(out, den_a * den_b)
+        return finish(out)
 
     def _long_divide(self, a: Payload, d: Payload, top: int) -> Payload:
         """The quotient c = a / d by long division, through exponent top.

@@ -213,14 +213,9 @@ class MultiSeries:
         t1, t2 = self.terms, other.terms
         if len(t1) > len(t2):
             t1, t2 = t2, t1
-        mul, add, is_zero = ring.mul, ring.add, ring.is_zero
-        # over Q the pairs run on integers over one common denominator per
-        # operand: one Fraction per output term, not one gcd per pair
-        lowered = ring.lower_terms(t1)
-        if lowered is not None:
-            t1, den1 = lowered
-            t2, den2 = ring.lower_terms(t2)
-            mul, add, is_zero = operator.mul, operator.add, operator.not_
+        # over Q the pairs run on integers: one denominator per product,
+        # not one gcd per pair
+        t1, t2, mul, add, is_zero, finish = ring.product_kernel(t1, t2)
         # the longer operand's terms by total degree, lowest first, so
         # each term of t1 visits only the partners that stay in range
         buckets: dict[int, list[tuple[Exps, Payload]]] = {}
@@ -243,9 +238,7 @@ class MultiSeries:
                         out.pop(e, None)
                     else:
                         out[e] = p
-        if lowered is not None:
-            out = ring.lift_terms(out, den1 * den2)
-        return self._make(out)
+        return self._make(finish(out))
 
     __rmul__ = __mul__
 

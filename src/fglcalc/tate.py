@@ -312,7 +312,7 @@ def sigma_modified(r: Fraction, q_order: int) -> RingElement:
     sig = sigma_series(q_order + T)
     R = LaurentSeries(LaurentPolynomials(Integers(), "L"), "q", q_order, T)
     LP = R.base
-    prefactor_L = {m: LP.base.from_int((-1) ** m)}  # (-L)^m as an L-monomial
+    prefactor_L = {m: LP.base.from_int(-1 if m % 2 else 1)}  # (-L)^m as an L-monomial
     data = {}
     for qe, lpayload in sig.data.items():
         e = qe - T

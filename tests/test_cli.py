@@ -344,6 +344,28 @@ def test_negative_qorder_exit_two(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["fgl", "construct", "--law", "gm", "--qorder", "-1"],
+        ["genus", "todd", "--manifold", "cp2", "--qorder", "-1"],
+    ],
+    ids=["fgl", "genus-todd"],
+)
+def test_qorder_ignored_where_unread(capsys, argv):
+    # only commands that read --qorder check it
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out
+
+
+@pytest.mark.parametrize("r", ["-1/2", "-3/2"])
+def test_sigma_modified_negative_r(capsys, r):
+    code, out, err = invoke(capsys, "sigma", f"--modified={r}", "--qorder", "3")
+    assert code == 0, err
+    assert out
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "7",

@@ -94,7 +94,11 @@ def test_sigma_series_low_order_rows():
                 assert oracle.get((qe, le), Fraction(0)) == val, (N, qe, le)
 
 
-@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)], ids=str)
+@pytest.mark.parametrize(
+    "r",
+    [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)],
+    ids=str,
+)
 def test_sigma_modified_matches_shifted_oracle(r):
     # sigma[L, r] = q^{-T} (-L)^m sigma(L, q), m = floor(r), T = m(m+1)/2
     q_order = 8
@@ -103,7 +107,7 @@ def test_sigma_modified_matches_shifted_oracle(r):
     expected = {}
     for (qe, le), val in sigma_oracle(q_order + T).items():
         if qe - T <= q_order:
-            expected[(qe - T, le + m)] = val * (-1) ** m
+            expected[(qe - T, le + m)] = val * (-1 if m % 2 else 1)
     got = sigma_modified(r, q_order)
     flat = {(qe, le): c for qe, row in got.data.items() for le, c in row.items()}
     assert flat == expected
