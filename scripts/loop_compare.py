@@ -19,9 +19,9 @@ def manifold_of(token):
         return point()
     if token == "cp1xcp1":
         return product_data(cp(1, "h1"), cp(1, "h2"))
-    if token.startswith("cp"):
+    if token.startswith("cp") and token[2:].isdigit():
         return cp(int(token[2:]))
-    raise SystemExit(f"unknown manifold {token!r}")
+    raise ValueError(f"unknown manifold {token!r}")
 
 
 def main():
@@ -31,8 +31,14 @@ def main():
     ap.add_argument("--N", type=int, default=3)
     ap.add_argument("--qorder", type=int, default=6)
     args = ap.parse_args()
+    for flag, value in (("--N", args.N), ("--qorder", args.qorder)):
+        if value < 0:
+            ap.error(f"{flag} must be nonnegative, got {value}")
 
-    X = manifold_of(args.manifold)
+    try:
+        X = manifold_of(args.manifold)
+    except ValueError as exc:
+        ap.error(f"--manifold {args.manifold}: {exc}")
     d = X.dimension
     if args.law == "ga":
         ctx = additive_context(

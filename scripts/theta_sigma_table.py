@@ -17,6 +17,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--N", type=int, default=6)
     args = ap.parse_args()
+    if args.N < 0:
+        ap.error(f"--N must be nonnegative, got {args.N}")
 
     s = sigma_series(args.N)
     print(f"# sigma rows up to q^{args.N} (coefficients in L)")

@@ -21,6 +21,9 @@ def main():
     ap.add_argument("--qorder", type=int, default=8)
     ap.add_argument("--top", type=int, default=4, help="block dimension (even)")
     args = ap.parse_args()
+    for flag, value in (("--qorder", args.qorder), ("--top", args.top)):
+        if value < 0:
+            ap.error(f"{flag} must be nonnegative, got {value}")
 
     X = c1_trivial_block(args.top)
     val = loop_genus_sigma(X, args.qorder)

@@ -33,7 +33,9 @@ answers only below it.
 
 Every ring divides through one entry point, divide(a, d).  The default
 is a * d^-1.  Power and Laurent series rings divide by long division,
-and in a Laurent window that division is exact:
+_SeriesLike._long_divide, the one series division kernel: the truncated
+multivariate series of polyseries invert through PowerSeries.invert
+too.  In a Laurent window that division is exact:
 
 * for a divisor of valuation v <= 0, long division reads the dividend
   only through order + v, so a product by a Laurent polynomial of
@@ -51,7 +53,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import (
     NotAUnitError,
@@ -115,15 +117,7 @@ class Ring:
     def pow(self, a: Payload, n: int) -> Payload:
         if n < 0:
             return self.pow(self.invert(a), -n)
-        result = self.one()
-        square = a
-        while n:
-            if n & 1:
-                result = self.mul(result, square)
-            n >>= 1
-            if n:
-                square = self.mul(square, square)
-        return result
+        return repeated(self.mul, a, n, self.one)
 
     def nilpotency_order(self, a: Payload, cap: int) -> Optional[int]:
         """Smallest k <= cap with a^k = 0, or None."""
@@ -186,6 +180,41 @@ def _parse_fraction(s: str) -> Fraction:
 
 def _same_terms(terms: dict) -> dict:
     return terms
+
+
+def repeated(op: Callable[[Any, Any], Any], a: Any, n: int, identity: Callable[[], Any]) -> Any:
+    """a op a op ... op a with n factors, n >= 0, by repeated doubling.
+
+    The chain starts from the first factor it needs, so op never sees
+    the identity; identity() is called only for n = 0."""
+    if n == 0:
+        return identity()
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else op(result, a)
+        n >>= 1
+        if not n:
+            return result
+        a = op(a, a)
+
+
+def add_terms(ring: Ring, a: dict, b: dict) -> dict:
+    """The termwise sum of two sparse term dicts over ring, without
+    explicit zeros."""
+    add, is_zero = ring.add, ring.is_zero
+    out = dict(a)
+    for k, c in b.items():
+        prev = out.get(k)
+        if prev is None:
+            out[k] = c
+            continue
+        s = add(prev, c)
+        if is_zero(s):
+            del out[k]
+        else:
+            out[k] = s
+    return out
 
 
 def _over_common_denominator(terms: dict) -> tuple[dict, int]:
@@ -479,6 +508,11 @@ class IntegersMod(Ring):
     def has_rational_scalars(self):
         return False
 
+    def normalize(self, data):
+        if isinstance(data, bool) or not isinstance(data, int):
+            raise TypeError(f"{data!r} is not an integer payload mod {self.modulus}")
+        return data % self.modulus
+
     def text(self, a):
         return str(a)
 
@@ -531,19 +565,7 @@ class _SeriesLike(Ring):
         return hi is None or e <= hi
 
     def add(self, a, b):
-        base = self.base
-        out = dict(a)
-        for e, c in b.items():
-            prev = out.get(e)
-            if prev is None:
-                out[e] = c
-                continue
-            s = base.add(prev, c)
-            if base.is_zero(s):
-                del out[e]
-            else:
-                out[e] = s
-        return out
+        return add_terms(self.base, a, b)
 
     def neg(self, a):
         return {e: self.base.neg(c) for e, c in a.items()}
@@ -852,7 +874,8 @@ class QuotientRing(Ring):
                         work.append((new_exps, self.base.mul(coeff, r_coeff)))
                     break
             else:
-                s = self.base.add(out.get(exps, self.base.zero()), coeff)
+                prev = out.get(exps)
+                s = coeff if prev is None else self.base.add(prev, coeff)
                 if self.base.is_zero(s):
                     out.pop(exps, None)
                 else:
@@ -860,30 +883,27 @@ class QuotientRing(Ring):
         return out
 
     def add(self, a, b):
-        out = dict(a)
-        for exps, c in b.items():
-            s = self.base.add(out.get(exps, self.base.zero()), c)
-            if self.base.is_zero(s):
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return out
+        return add_terms(self.base, a, b)
 
     def neg(self, a):
         return {exps: self.base.neg(c) for exps, c in a.items()}
 
     def mul(self, a, b):
+        # over Q the pairs run on integers, as in the series products
+        a, b, bmul, badd, bzero, finish = self.base.product_kernel(a, b)
         raw: dict[tuple[int, ...], Payload] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                p = self.base.mul(c1, c2)
-                s = self.base.add(raw.get(exps, self.base.zero()), p)
-                if self.base.is_zero(s):
+                exps = tuple(map(operator.add, e1, e2))
+                p = bmul(c1, c2)
+                prev = raw.get(exps)
+                if prev is not None:
+                    p = badd(prev, p)
+                if bzero(p):
                     raw.pop(exps, None)
                 else:
-                    raw[exps] = s
-        return self._reduce(raw)
+                    raw[exps] = p
+        return self._reduce(finish(raw))
 
     def invert(self, a):
         zero_exps = self._zero_exps()

@@ -21,9 +21,10 @@ reversion, and transport of a law along a coordinate change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
-from .coefficients import Integers, Rationals, Ring, RingElement
+from .coefficients import Integers, Rationals, Ring, RingElement, repeated
 from .errors import (
     LawAxiomError,
     NotAUnitError,
@@ -267,21 +268,9 @@ def inverse_element(F: FormalGroupLaw, a: RingElement) -> RingElement:
 def n_series(F: FormalGroupLaw, k: int) -> MultiSeries:
     """The k-fold formal sum [k](x) as a univariate series."""
     uni = series(F.ring, (X,), F.trunc)
-    x = uni.var(X)
-    if k == 0:
-        return uni.zero()
     if k < 0:
         return inverse_series(F).substitute({X: n_series(F, -k)})
-    result = None
-    chain = x
-    n = k
-    while n:
-        if n & 1:
-            result = chain if result is None else law_apply(F, result, chain)
-        n >>= 1
-        if n:
-            chain = law_apply(F, chain, chain)
-    return result
+    return repeated(partial(law_apply, F), uni.var(X), k, uni.zero)
 
 
 def n_series_element(F: FormalGroupLaw, k: int, a: RingElement) -> RingElement:
@@ -292,20 +281,9 @@ def n_series_element(F: FormalGroupLaw, k: int, a: RingElement) -> RingElement:
     if F.name == "multiplicative":
         one = ring.wrap(ring.one())
         return one - (one - a) ** k
-    if k == 0:
-        return ring.wrap(ring.zero())
     if k < 0:
         return inverse_element(F, n_series_element(F, -k, a))
-    result = None
-    chain = a
-    n = k
-    while n:
-        if n & 1:
-            result = chain if result is None else law_apply(F, result, chain)
-        n >>= 1
-        if n:
-            chain = law_apply(F, chain, chain)
-    return result
+    return repeated(partial(law_apply, F), a, k, lambda: ring.wrap(ring.zero()))
 
 
 # ----------------------------------------------------------------------

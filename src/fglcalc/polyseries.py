@@ -7,6 +7,11 @@ conversions (lift_to, with_trunc, rename_vars) move between them.
 Because truncation by total degree is a ring quotient, arithmetic here
 is exact on the quotient with no window caveats.
 
+series_inverse has no loop of its own: it is one long division, the
+coefficient layer's PowerSeries.invert.  A univariate series is already
+such a payload; with several variables the terms are graded by total
+degree, with homogeneous polynomial coefficients.
+
 Substitution is the one place the truncation contract can be violated
 silently, so it is guarded: substituted series must have zero constant
 term unless the caller asserts that the polynomial is exact (mode
@@ -20,7 +25,15 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional
 
-from .coefficients import Payload, Ring, RingElement
+from .coefficients import (
+    Payload,
+    PowerSeries,
+    QuotientRing,
+    Ring,
+    RingElement,
+    add_terms,
+    repeated,
+)
 from .errors import (
     ConstantTermError,
     NotAUnitError,
@@ -138,9 +151,6 @@ class MultiSeries:
             self.terms.get((0,) * len(self.vars), self.ring.zero())
         )
 
-    def max_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[Exps, Payload]]:
         return sorted(self.terms.items())
 
@@ -152,19 +162,7 @@ class MultiSeries:
         if other is NotImplemented:
             return NotImplemented
         self._same_context(other)
-        out = dict(self.terms)
-        ring = self.ring
-        for exps, c in other.terms.items():
-            prev = out.get(exps)
-            if prev is None:
-                out[exps] = c
-                continue
-            s = ring.add(prev, c)
-            if ring.is_zero(s):
-                del out[exps]
-            else:
-                out[exps] = s
-        return self._make(out)
+        return self._make(add_terms(self.ring, self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -245,15 +243,7 @@ class MultiSeries:
     def __pow__(self, n: int) -> "MultiSeries":
         if n < 0:
             return self.series_inverse() ** (-n)
-        result = self.one()
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return repeated(operator.mul, self, n, self.one)
 
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
@@ -418,14 +408,12 @@ class MultiSeries:
         out: dict[Exps, Payload] = {}
         for exps, c in self.terms.items():
             e = exps[i]
-            if e == 0:
-                continue
-            new = ring.mul(c, ring.from_int(e))
-            if ring.is_zero(new):
-                continue
-            new_exps = exps[:i] + (e - 1,) + exps[i + 1 :]
-            out[new_exps] = ring.add(out.get(new_exps, ring.zero()), new)
-        return self._make({e: c for e, c in out.items() if not ring.is_zero(c)})
+            if e:
+                new = ring.mul(c, ring.from_int(e))
+                # each output exponent has one preimage: nothing to sum
+                if not ring.is_zero(new):
+                    out[exps[:i] + (e - 1,) + exps[i + 1 :]] = new
+        return self._make(out)
 
     def integrate(self, var: str) -> "MultiSeries":
         """Termwise antiderivative with zero constant; needs Q-scalars."""
@@ -451,23 +439,28 @@ class MultiSeries:
     # inversion and reversion
 
     def series_inverse(self) -> "MultiSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
-        c0 = self.constant_term().data
+        """Multiplicative inverse; the constant term must be a unit.
+
+        One long division through degree trunc.  A univariate series
+        divides as its own payload {e: c}; with more variables the
+        coefficient of t^d is the homogeneous part of degree d, in the
+        polynomial ring over the variables."""
+        n = len(self.vars)
+        if n == 1:
+            ring, payload = self.ring, {e: c for (e,), c in self.terms.items()}
+        else:
+            ring, payload = QuotientRing(self.ring, self.vars, (None,) * n), {}
+            for exps, c in self.terms.items():
+                payload.setdefault(sum(exps), {})[exps] = c
         try:
-            inv0 = self.ring.invert(c0)
+            inv = PowerSeries(ring, "t", self.trunc).invert(payload)
         except NotAUnitError as exc:
             raise NotAUnitError(
                 "series has non-unit constant term, cannot invert"
             ) from exc
-        b = self.const(inv0)
-        two = self.const(self.ring.from_int(2))
-        steps = max(1, self.trunc).bit_length() + 1
-        for _ in range(steps):
-            prod = self * b
-            if prod == self.one():
-                break
-            b = b * (two - prod)
-        return b
+        if n == 1:
+            return self._make({(e,): c for e, c in inv.items()})
+        return self._make({e: c for part in inv.values() for e, c in part.items()})
 
     def reversion(self) -> "MultiSeries":
         """Compositional inverse of a univariate series with unit slope."""

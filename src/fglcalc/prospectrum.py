@@ -140,15 +140,19 @@ def _root_blocks(V: EqBundle) -> list[tuple[str, int]]:
 def stabilize(
     T: ThomTower, q_order: int, normalization: str = "sigma", x_trunc=None
 ):
-    """Detect the cutoff past which the normalized stage multiplier is
-    coefficientwise constant up to q_order, and return it with the
-    stable series.
+    """The cutoff n_stable past which the normalized stage multiplier is
+    coefficientwise constant up to q_order, and the stable series.
 
-    sigma: per root x the pair at distance k contributes
-    (1-q^k L)(1-q^k L^{-1})/(1-q^k)^2 with L = 1-x once one power of L
-    is divided out per step; factors with k > q_order are exactly 1 in
-    the truncated ring, so the scan terminates.  The stable series is
-    checked against the closed form sigma_in_x.
+    sigma: per root x of multiplicity m the pair at distance k
+    contributes (1-q^k L)(1-q^k L^{-1})/(1-q^k)^2 with L = 1-x once one
+    power of L is divided out per step.  Pairs with k > q_order are
+    exactly 1 in the truncated ring, so the stable series is the whole
+    product, the closed form prod (sigma_in_x / x)^m over the roots.
+    Since L + L^{-1} - 2 = x^2 + x^3 + ..., the k-th pair to the m is
+    1 - q^k m (x^2 + x^3 + ...) + O(q^{k+1}): it moves the x^2
+    coefficient at q^k for every k <= q_order.  So n_stable is q_order
+    when some root has positive multiplicity and trunc >= 2, and 0
+    otherwise, where every pair is 1.
 
     sine: the additive pairs (1 - x^2/(k^2 qhat^2)) never repeat
     coefficients exactly; the declared limit is the sine closed form
@@ -193,38 +197,11 @@ def stabilize(
         )
     qring = PowerSeries(Rationals(), "q", q_order)
     ctx = series(qring, vars_, trunc)
-    partials = [ctx.one()]
-    # L = 1 - x_r and 1/L depend only on the root
-    per_root = []
-    for r, m in roots:
-        L = ctx.one() - ctx.var(r)
-        per_root.append((L, L.series_inverse(), m))
-    for k in range(1, q_order + 1):
-        inc = ctx.one()
-        qk = qring.param_payload(k)
-        inv2 = qring.pow(qring.invert(qring.sub(qring.one(), qk)), 2)
-        for L, geo, m in per_root:
-            f1 = ctx.one() - L * ctx.const(qk)
-            f2 = ctx.one() - geo * ctx.const(qk)
-            inc = inc * (f1 * f2 * ctx.const(inv2)) ** m
-        partials.append(partials[-1] * inc)
-    stable = partials[-1]
-    n_stable = 0
-    for n in range(len(partials) - 1, -1, -1):
-        if partials[n] == stable:
-            n_stable = n
-        else:
-            break
-
-    closed = ctx.one()
     sig = sigma_in_x(trunc + 1, qring)
+    acc = ctx.one()
     for r, m in roots:
-        closed = closed * _ratio_to_root(sig, ctx, r) ** m
-    if closed != stable:
-        raise NonConvergentError(
-            "stable product disagrees with the closed sigma form"
-        )
-    return n_stable, stable
+        acc = acc * _ratio_to_root(sig, ctx, r) ** m
+    return (q_order if roots and trunc >= 2 else 0), acc
 
 
 def _ratio_to_root(f: MultiSeries, ctx: MultiSeries, root: str) -> MultiSeries:

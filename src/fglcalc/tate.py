@@ -50,6 +50,7 @@ from .coefficients import (
     Ring,
     RingElement,
     quotient_ring,
+    repeated,
 )
 from .errors import (
     NotAUnitError,
@@ -351,18 +352,6 @@ def sigma_substitute_L(s: RingElement, j: int, q_order: int, q_tail: int) -> Rin
     return out_ring.wrap({e: b for e, b in out.items() if b})
 
 
-def series_L_window(s: RingElement, l_min: int, l_max: int) -> RingElement:
-    """Restrict the L-support of a series over laurent polynomials."""
-    ring = s.ring
-    LP = ring.base
-    out = {}
-    for qe, lpayload in s.data.items():
-        kept = {le: c for le, c in lpayload.items() if l_min <= le <= l_max}
-        if kept:
-            out[qe] = kept
-    return ring.wrap(out)
-
-
 def theta_multiplicative_L(cutoff: int, q_order: int) -> tuple[RingElement, RingElement]:
     """The cutoff product for the multiplicative law in the L coordinate.
 
@@ -496,15 +485,7 @@ class TateGroup:
     def power(self, p: TatePoint, n: int) -> TatePoint:
         if n < 0:
             return self.power(self.inv(p), -n)
-        result = self.identity()
-        square = p
-        while n:
-            if n & 1:
-                result = self.mul(result, square)
-            n >>= 1
-            if n:
-                square = self.mul(square, square)
-        return result
+        return repeated(self.mul, p, n, self.identity)
 
     def eq(self, p: TatePoint, q: TatePoint) -> bool:
         return p.a == q.a and p.g == q.g

@@ -179,6 +179,59 @@ def theta_cutoff_oracle(cutoff, q_order):
     return raw, acc
 
 
+def stabilize_scan_oracle(mults, x_trunc, q_order):
+    """The sigma stabilization scan over variables x_0, x_1, ... with
+    multiplicities mults: the partial products
+    P_n = prod_{k <= n} prod_i pair_k(x_i)^{mults[i]} with
+    pair_k(x) = (1 - q^k L)(1 - q^k / L) / (1 - q^k)^2 and L = 1 - x,
+    expanded densely as dict[(q_exp, x_exps)] -> Fraction.  Returns
+    (n_stable, P_{q_order}) with n_stable the least n from which every
+    partial product equals the last one."""
+    nv = len(mults)
+    zero = (0,) * nv
+
+    def mul(a, b):
+        out = {}
+        for (qa, xa), ca in a.items():
+            for (qb, xb), cb in b.items():
+                xs = tuple(i + j for i, j in zip(xa, xb))
+                if qa + qb <= q_order and sum(xs) <= x_trunc:
+                    key = (qa + qb, xs)
+                    out[key] = out.get(key, F0) + ca * cb
+        return {k: v for k, v in out.items() if v != 0}
+
+    def x_pow(i, j):
+        return tuple(j if v == i else 0 for v in range(nv))
+
+    partials = [{(0, zero): F1}]
+    for k in range(1, q_order + 1):
+        inv = {(qe, zero): c for (qe, _), c in d_geom_inv_one_minus(k, q_order).items()}
+        step = partials[-1]
+        for i, m in enumerate(mults):
+            a = {(0, zero): F1, (k, zero): -F1, (k, x_pow(i, 1)): F1}
+            b = {(0, zero): F1}
+            b.update({(k, x_pow(i, j)): -F1 for j in range(x_trunc + 1)})
+            pair = mul(a, mul(b, mul(inv, inv)))
+            for _ in range(m):
+                step = mul(step, pair)
+        partials.append(step)
+    n_stable = q_order
+    while n_stable > 0 and partials[n_stable - 1] == partials[-1]:
+        n_stable -= 1
+    return n_stable, partials[-1]
+
+
+def series_L_window(s, l_min, l_max):
+    """A series over Laurent polynomials in L with every L-exponent
+    outside [l_min, l_max] dropped, as an element of the same ring."""
+    out = {}
+    for qe, lpayload in s.data.items():
+        kept = {le: c for le, c in lpayload.items() if l_min <= le <= l_max}
+        if kept:
+            out[qe] = kept
+    return s.ring.wrap(out)
+
+
 def sigma_oracle(q_order):
     return theta_cutoff_oracle(q_order, q_order)[1]
 

@@ -64,7 +64,6 @@ from fglcalc.tate import (
     sigma_in_x,
     sigma_series,
     sigma_substitute_L,
-    series_L_window,
     theta_multiplicative_L,
 )
 
@@ -74,6 +73,7 @@ from oracles import (
     ahat_density,
     genus_cp,
     genus_cp1xcp1,
+    series_L_window,
     todd_density,
     witten_block_oracle,
     witten_eisenstein_oracle,

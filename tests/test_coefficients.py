@@ -17,6 +17,7 @@ from fglcalc.coefficients import (
     Rationals,
     parse_ring,
     quotient_ring,
+    repeated,
 )
 from fglcalc.errors import NotAUnitError, TailOverflowError, UnrepresentableError
 
@@ -46,6 +47,24 @@ def test_integers_mod_units():
     assert Z9.invert(Z9.from_int(4)) == 7
     with pytest.raises(NotAUnitError):
         Z9.invert(Z9.from_int(3))
+
+
+def test_repeated_doubling_never_applies_the_op_to_the_identity():
+    # the n-series chains rely on this: they never substitute into zero
+    identity = object()
+    calls = []
+
+    def op(u, v):
+        assert u is not identity and v is not identity
+        calls.append((u, v))
+        return u + v
+
+    for n in range(1, 40):
+        calls.clear()
+        assert repeated(op, "ab", n, lambda: identity) == "ab" * n
+        # one doubling per bit below the top, one join per extra set bit
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1
+    assert repeated(op, "ab", 0, lambda: identity) is identity
 
 
 def test_gaussian_rationals():
@@ -197,8 +216,8 @@ SERIES_BASES = {
         ZL,
         # monomials: wider random coefficients make the dense order-40
         # quotient so wide in L that the Newton reference takes seconds
-        lambda rng: ZL.normalize({rng.randint(0, 1): Fraction(rng.randint(-2, 2))}),
-        {1: Fraction(-1)},
+        lambda rng: ZL.normalize({rng.randint(0, 1): rng.randint(-2, 2)}),
+        {1: -1},
     ),
     "powser(Q)": (
         QT,
@@ -248,7 +267,7 @@ LAURENT_DIVISORS = [
     ("Q", {-2: Fraction(3), -1: Fraction(1), 0: Fraction(-2), 4: Fraction(5)}),
     ("Q", {0: Fraction(2), 1: Fraction(1), 6: Fraction(-1)}),
     ("Z/9", {-4: 2, -3: 3, 0: 6, 5: 1}),
-    ("laurpoly(Z)", {-1: {0: Fraction(1)}, 0: {1: Fraction(-1)}, 2: {-2: Fraction(4)}}),
+    ("laurpoly(Z)", {-1: {0: 1}, 0: {1: -1}, 2: {-2: 4}}),
 ]
 
 
@@ -340,7 +359,7 @@ def test_series_mul_and_add_match_all_pairs(R, exps):
     elem = {
         "Q": _frac,
         "Z/8": lambda rng: rng.randrange(8),
-        "Z": lambda rng: Fraction(rng.randint(-4, 4)),
+        "Z": lambda rng: rng.randint(-4, 4),
         "Z[1/2]": lambda rng: Fraction(rng.randint(-4, 4), 2),
         "laurpoly(Z;L)": SERIES_BASES["laurpoly(Z)"][1],
     }[R.base.descriptor()]
@@ -416,6 +435,18 @@ def test_payload_types_are_canonical(R, kind):
     assert products and [type(c) for c in products] == [kind] * len(products)
 
 
+def test_integers_mod_payloads_are_canonical():
+    Z5 = IntegersMod(5)
+    assert Z5.el(7, raw=True) == Z5.el(2)
+    assert Z5.el(-3, raw=True).data == 2
+    assert PowerSeries(Z5, "q", 3).normalize({0: 5, 2: 13}) == {2: 3}
+    # a quotient ring normalizes its coefficients through the base
+    R = quotient_ring(IntegersMod(9), ["e"], {"e": (2, {})})
+    assert R.normalize({(0,): 10, (1,): -9, (2,): 4}) == {(0,): 1}
+    with pytest.raises(TypeError):
+        R.normalize({(1,): True})
+
+
 def test_raw_payloads_invert_exactly():
     # raw ints are normalized, so inverse() never falls back to float division
     for R, raw, inverse in ((QQ, 5, Fraction(1, 5)), (Integers((2,)), 4, Fraction(1, 4))):
@@ -430,7 +461,9 @@ def test_raw_payloads_invert_exactly():
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, True, "3"], ids=repr)
-@pytest.mark.parametrize("R", [QQ, Integers(), Integers((2,)), GaussianRationals()], ids=lambda R: R.descriptor())
+@pytest.mark.parametrize(
+    "R", [QQ, Integers(), Integers((2,)), GaussianRationals(), IntegersMod(5)], ids=lambda R: R.descriptor()
+)
 def test_normalize_rejects_inexact_payloads(R, bad):
     with pytest.raises(TypeError):
         R.normalize((bad, 0) if isinstance(R, GaussianRationals) else bad)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fglcalc.coefficients import Integers, IntegersMod, PowerSeries, Rationals
+from fglcalc.coefficients import Integers, IntegersMod, PowerSeries, Rationals, quotient_ring
 from fglcalc.errors import (
     LawAxiomError,
     NotAUnitError,
@@ -146,6 +146,20 @@ def test_n_series_element_exact_closed_form():
         assert got == 1 - Fraction(2, 3) ** k
     Fa = additive_law(QQ, 4)
     assert n_series_element(Fa, 7, a).data == Fraction(7, 3)
+
+
+def test_n_series_element_without_closed_form_matches_n_series():
+    # a transported law has no closed form, so [k](a) runs the doubling
+    # chain of law_apply on elements (and the inverse series for k < 0)
+    R = quotient_ring(QQ, ["e"], {"e": (3, {})})
+    uni = series(R, ("x",), 4)
+    t = uni.var("x")
+    F = transport(multiplicative_law(R, 4), t + uni.const(2) * t**2 - t**3).target
+    e = R.gen_payload("e")
+    a = R.wrap(R.add(e, R.mul(R.from_int(3), R.mul(e, e))))
+    for k in range(-4, 7):
+        assert n_series_element(F, k, a) == n_series(F, k).eval_elements({"x": a}), k
+    assert n_series_element(F, 2, a).data == {(1,): Fraction(2), (2,): Fraction(9)}
 
 
 def test_law_apply_on_elements():

@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fglcalc.coefficients import IntegersMod, Rationals, quotient_ring
+from fglcalc.coefficients import (
+    IntegersMod,
+    LaurentSeries,
+    PowerSeries,
+    Rationals,
+    quotient_ring,
+)
 from fglcalc.errors import ConstantTermError, NotAUnitError, RingMismatchError
 from fglcalc.polyseries import series
 
-from oracles import m_mul_all_pairs
+from oracles import m_mul_all_pairs, newton_inverse
 
 QQ = Rationals()
 
@@ -44,7 +50,6 @@ def test_truncation_drops_high_degree():
         ((2,), Fraction(10)),
         ((3,), Fraction(10)),
     ]
-    assert f.max_degree() == 3
 
 
 def test_series_inverse_geometric():
@@ -54,6 +59,60 @@ def test_series_inverse_geometric():
     assert all(g.coefficient([k]) == 1 for k in range(8))
     with pytest.raises(NotAUnitError):
         x.series_inverse()
+
+
+# name: (base ring, random base element, random unit, a nonzero non-unit
+# or None); the Laurent units have valuation 0, so the inverse is exact
+# through the window's order
+QS = PowerSeries(QQ, "q", 6)
+QL = LaurentSeries(QQ, "q", 6, 4)
+
+
+def _q_element(R, rng, low=0):
+    exps = rng.sample(range(low, 7), 3)
+    return R.normalize({e: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for e in exps})
+
+
+def _q_unit(R):
+    return lambda rng: R.add(R.from_int(rng.choice([-2, 1, 3])), _q_element(R, rng, low=1))
+
+
+INVERSE_BASES = {
+    "Q": (
+        QQ,
+        lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        lambda rng: Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)),
+        None,
+    ),
+    "Z/8": (IntegersMod(8), lambda rng: rng.randrange(8), lambda rng: rng.choice([1, 3, 5, 7]), 6),
+    "powser(Q;q;6)": (QS, lambda rng: _q_element(QS, rng), _q_unit(QS), {1: Fraction(1)}),
+    "laurent(Q;q;6;4)": (QL, lambda rng: _q_element(QL, rng), _q_unit(QL), None),
+}
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 8])
+@pytest.mark.parametrize("vars", [("x",), ("x", "y"), ("x", "y", "z")], ids=len)
+@pytest.mark.parametrize("name", list(INVERSE_BASES))
+def test_series_inverse_is_the_long_division(name, vars, trunc):
+    # one variable divides as its own payload, more are graded by total
+    # degree: either way f * g = 1 through the truncation
+    ring, elem, unit, non_unit = INVERSE_BASES[name]
+    rng = random.Random(f"{name}/{len(vars)}/{trunc}")
+    for count in (0, 1, 4, 12):
+        terms = _random_terms(rng, len(vars), trunc, count, None)
+        f = series(ring, vars, trunc, {e: elem(rng) for e in terms})
+        f = f - f.constant_term() + f.const(unit(rng))
+        g = f.series_inverse()
+        assert (f * g).terms == f.one().terms
+        assert (g * f).terms == f.one().terms
+        if name == "Q" and len(vars) == 1:
+            want = newton_inverse(QQ, {e: c for (e,), c in f.terms.items()}, trunc)
+            assert g.terms == {(e,): c for e, c in want.items()}
+        constant_free = f - f.constant_term()
+        bad = [constant_free] + ([constant_free + f.const(non_unit)] if non_unit is not None else [])
+        for h in bad:
+            with pytest.raises(NotAUnitError, match="^series has non-unit constant term, cannot invert$"):
+                h.series_inverse()
 
 
 def test_substitute_strict_requires_no_constant_term():

@@ -20,6 +20,8 @@ from fglcalc.prospectrum import (
 from fglcalc.polyseries import series as mk_series
 from fglcalc.tate import theta_series
 
+from oracles import stabilize_scan_oracle
+
 QQ = Rationals()
 
 
@@ -153,6 +155,23 @@ def test_stabilize_rank_two():
     n_stable, val = stabilize(T, 3)
     assert n_stable <= 4
     assert set(val.vars) == {"x", "y"}
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[("x", 0, 1)], [("x", 0, 2)], [("x", 0, 1), ("y", 0, 1)], [(None, 0, 1)]],
+    ids=["x:0:1", "x:0:2", "x:0:1,y:0:1", "none:0:1"],
+)
+def test_stabilize_sigma_matches_the_partial_product_scan(blocks):
+    # the closed form and its n_stable against the scan it replaces
+    T, _ = gm_tower(blocks, trunc=4, depth=10, unit_bound=2)
+    mults = [m for r, _, m in blocks if r is not None]
+    for trunc in range(5):
+        for q_order in range(7):
+            n_stable, val = stabilize(T, q_order, "sigma", trunc)
+            want_n, want = stabilize_scan_oracle(mults, trunc, q_order)
+            got = {(qe, exps): c for exps, row in val.terms.items() for qe, c in row.items()}
+            assert (n_stable, got) == (want_n, want), (trunc, q_order)
 
 
 def test_stabilize_additive_sine_normalization():

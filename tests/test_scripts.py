@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -15,6 +17,24 @@ def run_script(name, *args):
         [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         capture_output=True, text=True, timeout=180, env=env, cwd=ROOT,
     )
+
+
+@pytest.mark.parametrize(
+    "name,flag,value,reason",
+    [
+        ("witten_expansion.py", "--qorder", "-3", "must be nonnegative, got -3"),
+        ("witten_expansion.py", "--top", "-2", "must be nonnegative, got -2"),
+        ("theta_sigma_table.py", "--N", "-2", "must be nonnegative, got -2"),
+        ("loop_compare.py", "--N", "-1", "must be nonnegative, got -1"),
+        ("loop_compare.py", "--qorder", "-1", "must be nonnegative, got -1"),
+        ("loop_compare.py", "--manifold", "cp2y", "cp2y: unknown manifold 'cp2y'"),
+    ],
+)
+def test_bad_argv_is_a_usage_error(name, flag, value, reason):
+    r = run_script(name, flag, value)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines()[-1].endswith(f"error: {flag} {reason}")
 
 
 def test_theta_sigma_table():

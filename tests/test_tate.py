@@ -24,14 +24,13 @@ from fglcalc.tate import (
     sigma_modified,
     sigma_series,
     sigma_substitute_L,
-    series_L_window,
     sine_series,
     theta_multiplicative_L,
     theta_series,
     theta_vanishes_at,
 )
 
-from oracles import sigma_in_x_oracle, sigma_oracle, theta_cutoff_oracle
+from oracles import series_L_window, sigma_in_x_oracle, sigma_oracle, theta_cutoff_oracle
 
 QQ = Rationals()
 
@@ -244,6 +243,18 @@ def test_power_and_torsion_order():
     assert G.torsion_order(p, cap=64) == 9
     assert G.eq(G.power(p, 9), G.identity())
     assert not G.eq(G.power(p, 3), G.identity())
+
+
+@pytest.mark.parametrize("law", ["ga", "gm"])
+def test_power_negative_is_repeated_inverse(law):
+    G, R = artin_group(9, law=law)
+    p = G.point(R.wrap(R.add(R.from_int(3), R.gen_payload("e"))), Fraction(2, 5))
+    acc = G.identity()
+    for n in range(1, 8):
+        acc = G.mul(acc, G.inv(p))
+        got = G.power(p, -n)
+        assert G.eq(got, acc), n
+        assert G.eq(G.mul(got, G.power(p, n)), G.identity()), n
 
 
 def test_reduce_pair_canonical_form():
