@@ -139,6 +139,21 @@ class Ring:
         own payloads."""
         return a, b, self.mul, self.add, self.is_zero, _same_terms
 
+    def linear_combination(self, pairs: Iterable[tuple[Optional[Payload], dict]]) -> dict:
+        """The sum of c * t over pairs (c, t) of a payload c, or None
+        for one, and a sparse term dict t, without explicit zeros.
+        Every ring but Rationals runs on its own mul and add."""
+        mul, add = self.mul, self.add
+        out: dict = {}
+        for c, t in pairs:
+            for k, x in t.items():
+                if c is not None:
+                    x = mul(c, x)
+                prev = out.get(k)
+                out[k] = x if prev is None else add(prev, x)
+        is_zero = self.is_zero
+        return {k: x for k, x in out.items() if not is_zero(x)}
+
     def normalize(self, data: Payload) -> Payload:
         """Bring externally built data into canonical form."""
         return data
@@ -310,6 +325,23 @@ class Rationals(Ring):
             return {k: Fraction(n, den) for k, n in out.items()}
 
         return a, b, operator.mul, operator.add, operator.not_, finish
+
+    def linear_combination(self, pairs):
+        # two passes: the common denominator of every c * t, then integer
+        # numerators over it; one Fraction per output term
+        scaled = []
+        for c, t in pairs:
+            if t:
+                d = math.lcm(*[x.denominator for x in t.values()])
+                scaled.append((c, t, d, d if c is None else d * c.denominator))
+        den = math.lcm(*[cd for _, _, _, cd in scaled])
+        out: dict = {}
+        get = out.get
+        for c, t, d, cd in scaled:
+            scale = den // cd if c is None else c.numerator * (den // cd)
+            for k, x in t.items():
+                out[k] = get(k, 0) + scale * (d // x.denominator) * x.numerator
+        return {k: Fraction(n, den) for k, n in out.items() if n}
 
     def normalize(self, data):
         return _exact_rational(data)

@@ -12,11 +12,22 @@ coefficient layer's PowerSeries.invert.  A univariate series is already
 such a payload; with several variables the terms are graded by total
 degree, with homogeneous polynomial coefficients.
 
-Substitution is the one place the truncation contract can be violated
-silently, so it is guarded: substituted series must have zero constant
-term unless the caller asserts that the polynomial is exact (mode
-"exact") or takes responsibility for nilpotent constant parts (mode
-"nilpotent", used by the group law machinery after sizing truncations).
+Substitution f(P_1, ..., P_n) groups the outer terms by the exponent
+of the first variable and recurses: each group with exponent k > 0
+costs one product with the cached power P_1^k, and at the last
+variable the group is one linear combination sum c_e P_n^e of cached
+powers, the coefficient ring's linear_combination (over Q one common
+denominator and integer numerators).  No series is built per outer
+term.  The order of evaluation cannot change a coefficient: truncation
+by total degree is a ring quotient, so the grouped sum is the same
+element as the term-by-term one.
+
+Substitution is also the one place the truncation contract can be
+violated silently, so it is guarded: substituted series must have zero
+constant term unless the caller asserts that the polynomial is exact
+(mode "exact") or takes responsibility for nilpotent constant parts
+(mode "nilpotent", used by the group law machinery after sizing
+truncations).
 """
 
 from __future__ import annotations
@@ -273,7 +284,14 @@ class MultiSeries:
         whole series, making constant terms safe.  mode "nilpotent":
         constant terms must be nilpotent and the caller has sized the
         truncations so that dropped-tail contributions vanish in the
-        coefficient ring.
+        coefficient ring.  Variables without a binding stay themselves,
+        as variables of the target.
+
+        The terms are grouped by the exponent of the first variable,
+        then of the next (``_compose``): one product per group with a
+        cached power, one linear combination of cached powers at the
+        last variable.  The quotient by total degree > trunc is a ring,
+        so this order gives the same coefficients as any other.
         """
         if mode not in ("strict", "exact", "nilpotent"):
             raise ValueError(f"unknown substitution mode {mode!r}")
@@ -315,25 +333,10 @@ class MultiSeries:
                         f"nilpotent within the truncation"
                     )
 
-        # powers of each binding, grown on demand
-        pows: dict[str, list[MultiSeries]] = {
-            v: [target.one()] for v in self.vars
-        }
-
-        def power(v: str, e: int) -> MultiSeries:
-            cache = pows[v]
-            while len(cache) <= e:
-                cache.append(cache[-1] * full[v])
-            return cache[e]
-
-        acc = target.zero()
-        for exps, c in sorted(self.terms.items()):
-            term = target.const(c)
-            for v, e in zip(self.vars, exps):
-                if e:
-                    term = term * power(v, e)
-            acc = acc + term
-        return acc
+        binds = [full[v] for v in self.vars]
+        # powers of each binding, grown on demand; [binding] is P^1
+        pows: list[list[MultiSeries]] = [[s] for s in binds]
+        return target._make(_compose(list(self.terms.items()), 0, binds, pows))
 
     def eval_elements(
         self,
@@ -463,12 +466,22 @@ class MultiSeries:
         return self._make({e: c for part in inv.values() for e, c in part.items()})
 
     def reversion(self) -> "MultiSeries":
-        """Compositional inverse of a univariate series with unit slope."""
+        """Compositional inverse of a univariate series with unit slope.
+
+        Newton's iteration with one composition per step: from
+        f(g) = x + err, the chain rule gives f'(g) g' = 1 + err', so
+        the step g <- g - err / f'(g) is g <- g - err g' (1 + err')^-1.
+        The top coefficients of the derivatives are lost to the
+        truncation, but err has valuation >= 2, so the correction is
+        exact through the truncation.  Modulo degree 1 every series
+        without constant term is 0, and so is its inverse."""
         if len(self.vars) != 1:
             raise ValueError("reversion needs a univariate series")
         v = self.vars[0]
         if not self.constant_term().is_zero():
             raise ConstantTermError("reversion needs zero constant term")
+        if self.trunc == 0:
+            return self.zero()
         a1 = self.terms.get((1,), self.ring.zero())
         try:
             inv_a1 = self.ring.invert(a1)
@@ -476,13 +489,13 @@ class MultiSeries:
             raise NotAUnitError("slope is not a unit, cannot revert") from exc
         x = self.var(v)
         g = x * self.ring.wrap(inv_a1)
-        deriv = self.derivative(v)
+        one = self.one()
         for _ in range(max(1, self.trunc).bit_length() + 2):
             err = self.substitute({v: g}) - x
             if err.is_zero():
                 return g
-            slope = deriv.substitute({v: g})
-            g = g - err * slope.series_inverse()
+            slope = one + err.derivative(v)
+            g = g - err * g.derivative(v) * slope.series_inverse()
         if not (self.substitute({v: g}) - x).is_zero():
             raise RuntimeError("reversion failed to converge")
         return g
@@ -607,6 +620,53 @@ def _to_payload(ring: Ring, c) -> Payload:
     if isinstance(c, Fraction):
         return ring.from_fraction(c)
     return c
+
+
+def _power(binds: list[MultiSeries], pows: list[list[MultiSeries]], i: int, e: int) -> MultiSeries:
+    """binds[i] ** e for e >= 1, from the cache pows[i] of P^1, P^2, ..."""
+    cache = pows[i]
+    while len(cache) < e:
+        cache.append(cache[-1] * binds[i])
+    return cache[e - 1]
+
+
+def _compose(
+    terms: list[tuple[Exps, Payload]],
+    i: int,
+    binds: list[MultiSeries],
+    pows: list[list[MultiSeries]],
+) -> dict[Exps, Payload]:
+    """The terms of sum c * prod_{j >= i} binds[j] ** e_j over the outer
+    terms (e, c), in the context of the bindings.
+
+    The terms are grouped by e_i, and each group with e_i = k > 0 costs
+    one product with the cached power binds[i] ** k.  At the last
+    variable the sum is one linear combination of cached powers, so no
+    series is built per outer term.  The state goes down as arguments,
+    not through a self-referencing closure, which would hold every
+    cached power in a garbage cycle."""
+    target = binds[i]
+    ring = target.ring
+    if i == len(binds) - 1:
+        const = (0,) * len(target.vars)
+        return ring.linear_combination(
+            [
+                (c, _power(binds, pows, i, e[i]).terms) if e[i] else (None, {const: c})
+                for e, c in terms
+            ]
+        )
+    groups: dict[int, list[tuple[Exps, Payload]]] = {}
+    for term in terms:
+        groups.setdefault(term[0][i], []).append(term)
+    parts = []
+    for k, group in groups.items():
+        inner = _compose(group, i + 1, binds, pows)
+        if k and inner:
+            inner = (_power(binds, pows, i, k) * target._make(inner)).terms
+        parts.append((None, inner))
+    if len(parts) == 1:
+        return parts[0][1]
+    return ring.linear_combination(parts)
 
 
 def divide_by_var(f: MultiSeries) -> MultiSeries:

@@ -46,6 +46,14 @@ def p_pow(a, m, n):
     return out
 
 
+def lagrange_reversion(f, n):
+    """The compositional inverse g of f = f[1] x + f[2] x^2 + ...,
+    f[0] = 0 and f[1] != 0, through x^n by Lagrange inversion:
+    [x^k] g = (1/k) [x^(k-1)] (x / f)^k."""
+    x_over_f = p_inv(f[1:], n)
+    return [F0] + [p_pow(x_over_f, k, n)[k - 1] / k for k in range(1, n + 1)]
+
+
 def exp_series(n, scale=F1):
     return [Fraction(scale ** k, math.factorial(k)) for k in range(n + 1)]
 
@@ -139,6 +147,33 @@ def newton_inverse(base, a, order):
             correction[0] = c0
         b = s_mul_all_pairs(base, b, correction, order)
     return b
+
+
+# composition of truncated multivariate series, term by term: the
+# reference for MultiSeries.substitute, whose grouped evaluation must
+# give the same terms.  It touches only the series' own const, var,
+# product and sum, which the all-pairs oracles above check.
+
+
+def substitute_oracle(f, bindings):
+    """f at the series bindings, one outer term at a time: const(c),
+    one product per variable power, one series sum per term.  Unbound
+    variables stay themselves, as variables of the target; the mode
+    checks are the engine's and are not repeated here."""
+    target = next(iter(bindings.values()))
+    full = {v: bindings[v] if v in bindings else target.var(v) for v in f.vars}
+    pows = {v: [target.one()] for v in f.vars}
+    acc = target.zero()
+    for exps, c in sorted(f.terms.items()):
+        term = target.const(c)
+        for v, e in zip(f.vars, exps):
+            cache = pows[v]
+            while len(cache) <= e:
+                cache.append(cache[-1] * full[v])
+            if e:
+                term = term * cache[e]
+        acc = acc + term
+    return acc
 
 
 # sigma(L, q) as dict[(q_exp, L_exp)] -> Fraction, truncated at q_order

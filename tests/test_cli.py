@@ -64,6 +64,19 @@ def test_fgl_log_multiplicative(capsys):
     assert out.strip() == "(1)*x + (1/2)*x^2 + (1/3)*x^3 + (1/4)*x^4 + (1/5)*x^5"
 
 
+@pytest.mark.parametrize("law", ["gm", "ga"])
+@pytest.mark.parametrize("action", ["log", "exp"])
+def test_fgl_log_and_exp_at_trunc_zero(capsys, action, law):
+    # modulo degree 1 the strict log and exp are the zero series, as the
+    # law itself is for construct
+    code, out, err = invoke(capsys, "fgl", action, "--law", law, "--trunc", "0")
+    assert (code, out.strip(), err) == (0, "0", "")
+    code, out, _ = invoke(capsys, "--format", "json", "fgl", action, "--law", law, "--trunc", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["vars"], doc["trunc"], doc["terms"]) == (["x"], 0, [])
+
+
 def test_fgl_transport(capsys):
     code, out, _ = invoke(
         capsys, "fgl", "transport", "--law", "ga", "--theta", "2,0", "--trunc", "3"

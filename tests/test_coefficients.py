@@ -15,6 +15,7 @@ from fglcalc.coefficients import (
     LaurentSeries,
     PowerSeries,
     Rationals,
+    Ring,
     parse_ring,
     quotient_ring,
     repeated,
@@ -411,6 +412,26 @@ def test_q_series_mul_drops_coefficients_that_cancel(R):
     b = {0: Fraction(5, 7), 1: Fraction(-5, 7063)}
     assert R.mul(a, b) == {0: Fraction(5, 7), 2: Fraction(-5, 7063 * 1009)}
     assert R.mul(a, {}) == {}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.sampled_from(COPRIME)),
+            st.dictionaries(st.integers(0, 5), st.sampled_from(COPRIME), max_size=6),
+        ),
+        max_size=5,
+    )
+)
+def test_q_linear_combination_matches_fraction_arithmetic(pairs):
+    # the integer two-pass kernel against the termwise Fraction sum of
+    # the base class; coprime denominators make a lost scale show, and
+    # sums such as 1/2 - 1/2 cancel to no term at all
+    want = Ring.linear_combination(QQ, pairs)
+    got = QQ.linear_combination(pairs)
+    assert got == want
+    assert all(type(c) is Fraction and c for c in got.values())
 
 
 # (ring, payload type): plain Z is int, Z[1/n] and Q are Fraction

@@ -1,5 +1,6 @@
 """Formal group laws: axioms, logs, n-series, transport."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -278,3 +279,21 @@ def test_log_criterion_agrees_with_substitution(ring_name, trunc, i, j, c):
     x, y = bi.var("x"), bi.var("y")
     bud = law + bi.const(c) * (x**i * y**j + x**j * y**i)
     assert _log_criterion_accepts(bud) == _associative_by_substitution(bud)
+
+
+def test_law_calculus_leaves_no_garbage_cycles():
+    # a cycle through the substitution state (say a closure that calls
+    # itself) would keep every cached power alive until the collector
+    # runs; with the collector off none may appear
+    F = multiplicative_law(QQ, 12)
+    x = series(QQ, ("x",), 12).var("x")
+    theta = x + x * x * Fraction(1, 2) - x**3 * Fraction(2, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        G = transport(F, theta).target
+        n_series(G, -3)
+        fgl_log(G).substitute({"x": G.law})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,6 @@
 """Truncated multivariate series: arithmetic, substitution, reversion."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fglcalc.coefficients import (
+    Integers,
     IntegersMod,
     LaurentSeries,
     PowerSeries,
@@ -17,7 +19,7 @@ from fglcalc.coefficients import (
 from fglcalc.errors import ConstantTermError, NotAUnitError, RingMismatchError
 from fglcalc.polyseries import series
 
-from oracles import m_mul_all_pairs, newton_inverse
+from oracles import lagrange_reversion, m_mul_all_pairs, newton_inverse, substitute_oracle
 
 QQ = Rationals()
 
@@ -328,3 +330,168 @@ def test_q_mul_drops_coefficients_that_cancel(trunc):
     assert prod.terms == m_mul_all_pairs(a.terms, b.terms, trunc)
     assert (1, 1) not in prod.terms and len(prod.terms) == 2
     assert (a * c.zero()).terms == {}
+
+
+# ------------------------------------------------------------------
+# substitution: the grouped kernel against the term-by-term oracle
+
+Z6 = Integers((2, 3))
+QP = PowerSeries(QQ, "q", 4)
+QE = quotient_ring(QQ, ["e"], {"e": (3, {})})
+
+# name: (ring, coefficient strategy, nilpotent-constant strategy); every
+# strategy draws payloads or values the series constructor normalizes
+SUBST_RINGS = {
+    "Q": (QQ, st.sampled_from(COPRIME + [Fraction(2, 3), Fraction(7)]), st.just(0)),
+    "Z": (Integers(), st.integers(-9, 9), st.just(0)),
+    "Z[1/6]": (
+        Z6,
+        st.builds(lambda n, a, b: Fraction(n, 2**a * 3**b), st.integers(-7, 7), st.integers(0, 3), st.integers(0, 2)),
+        st.just(0),
+    ),
+    # zero divisors, so that products and sums vanish mod 9
+    "Z/9": (IntegersMod(9), st.sampled_from([1, 3, 6, 8]), st.sampled_from([0, 3, 6])),
+    "powser(Q;q;4)": (
+        QP,
+        st.dictionaries(st.integers(0, 4), st.sampled_from(COPRIME), max_size=3),
+        st.dictionaries(st.integers(1, 4), st.sampled_from(COPRIME), max_size=2),
+    ),
+    "Q[e]/(e^3)": (
+        QE,
+        st.dictionaries(st.sampled_from([(0,), (1,), (2,)]), st.sampled_from(COPRIME), max_size=3),
+        st.dictionaries(st.sampled_from([(1,), (2,)]), st.sampled_from(COPRIME), max_size=2),
+    ),
+}
+NILPOTENT_RINGS = ["Z/9", "powser(Q;q;4)", "Q[e]/(e^3)"]
+TARGET_VARS = ("x", "y", "z")
+
+
+def exps_of(nvars, top):
+    """Exponent tuples of total degree <= top, dense low ones and sparse
+    high ones (a single variable to a high power) alike."""
+    low = st.tuples(*[st.integers(0, 3)] * nvars)
+    high = st.tuples(*[st.integers(0, 1)] * (nvars - 1), st.integers(max(top - 2, 0), top)).map(lambda e: e[::-1])
+    return st.one_of(low, high).filter(lambda e: sum(e) <= top)
+
+
+def _check_substitute(f, bindings, mode):
+    got = f.substitute(bindings, mode=mode)
+    want = substitute_oracle(f, bindings)
+    assert got.terms == want.terms
+    assert (got.ring, got.vars, got.trunc) == (want.ring, want.vars, want.trunc)
+    ring = got.ring
+    assert all(ring.normalize(c) == c and type(c) is type(ring.normalize(c)) for c in got.terms.values())
+
+
+@pytest.mark.parametrize("mode", ["strict", "exact", "nilpotent"])
+@pytest.mark.parametrize("name", list(SUBST_RINGS))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_term_by_term_oracle(name, mode, data):
+    ring, coeff, nilpotent = SUBST_RINGS[name]
+    if mode == "nilpotent" and name not in NILPOTENT_RINGS:
+        nilpotent = st.just(0)
+    nvars = data.draw(st.integers(1, 3), label="outer variables")
+    outer_vars = TARGET_VARS[:nvars]
+    # a nilpotent constant c needs c^(outer trunc + 1) = 0
+    outer_trunc = data.draw(st.integers(4 if mode == "nilpotent" else 0, 9), label="outer trunc")
+    trunc = data.draw(st.integers(0, 7), label="target trunc")
+    terms = data.draw(st.dictionaries(exps_of(nvars, max(outer_trunc, 2)), coeff, max_size=12), label="outer")
+    f = series(ring, outer_vars, outer_trunc, terms)
+    bound = data.draw(
+        st.lists(st.sampled_from(outer_vars), min_size=1, max_size=nvars, unique=True), label="bound"
+    )
+    bindings = {}
+    for v in bound:
+        s = series(ring, TARGET_VARS, trunc, data.draw(st.dictionaries(exps_of(3, trunc + 1), coeff, max_size=8)))
+        if mode != "exact":
+            s = s - s.constant_term()
+        if mode == "nilpotent":
+            s = s + s.const(ring.normalize(data.draw(nilpotent)))
+        bindings[v] = s
+    _check_substitute(f, bindings, mode)
+
+
+@pytest.mark.parametrize("name", list(SUBST_RINGS))
+def test_substitute_edge_outer_series(name):
+    # empty and constant-only outer series, a univariate target, and a
+    # sparse top-degree term whose powers run past the truncation
+    ring = SUBST_RINGS[name][0]
+    c = series(ring, ("x", "y"), 6)
+    x, y = c.var("x"), c.var("y")
+    p = x + x * y * ring.wrap(ring.from_int(2)) - y * y * y
+    three = ring.wrap(ring.from_int(3))
+    for f in (c.zero(), c.one() * three, x**6 * three + c.one()):
+        for bindings in ({"x": p}, {"x": p, "y": x * x}, {"y": p - x}):
+            _check_substitute(f, bindings, "strict")
+    uni = series(ring, ("t",), 5)
+    t = uni.var("t")
+    q = t + t * t * three
+    _check_substitute(x * y * y + y**5 + c.one(), {"x": q, "y": q * q}, "strict")
+
+
+@pytest.mark.parametrize("name", list(SUBST_RINGS))
+def test_substitute_cancels_to_zero(name):
+    # terms of different groups cancel: x^2 - y at (P, P^2), and
+    # x^2 y^3 - x^3 y^2 + x - y at (P, P); over Q the scalars have
+    # coprime denominators, so a lost denominator scale shows
+    ring = SUBST_RINGS[name][0]
+    c = series(ring, ("x", "y"), 7)
+    x, y = c.var("x"), c.var("y")
+    target = series(ring, ("s", "t"), 7)
+    s, t = target.var("s"), target.var("t")
+    if ring.has_rational_scalars():
+        scalars = [Fraction(5, 7), Fraction(1, 1009), Fraction(-3)]
+    elif ring == Z6:
+        scalars = [Fraction(5, 6), Fraction(-1, 8)]
+    else:
+        scalars = [2, -3]
+    for k in scalars:
+        p = s * k + s * t - t * t * t * k
+        for f, bindings in (
+            (x * x * k - y * k, {"x": p, "y": p * p}),
+            (x**2 * y**3 * k - x**3 * y**2 * k + x - y, {"x": p, "y": p}),
+        ):
+            got = f.substitute(bindings)
+            assert f.terms and got.terms == {} and got.vars == ("s", "t")
+            _check_substitute(f, bindings, "strict")
+
+
+# ------------------------------------------------------------------
+# reversion: one composition per Newton step
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(5), Fraction(1, 1009)]),
+    st.lists(frac, max_size=9),
+    st.integers(0, 12),
+)
+def test_reversion_matches_lagrange_inversion(slope, higher, trunc):
+    coeffs = [Fraction(0), slope] + higher
+    f = series(QQ, ("x",), trunc, {(k,): c for k, c in enumerate(coeffs)})
+    g = f.reversion()
+    want = lagrange_reversion(coeffs, trunc)
+    assert g.terms == {(k,): c for k, c in enumerate(want) if c}
+
+
+@pytest.mark.parametrize("modulus", [8, 9])
+@pytest.mark.parametrize("trunc", [0, 1, 2, 9, 16])
+def test_reversion_over_z_mod_n_is_a_two_sided_inverse(modulus, trunc):
+    ring = IntegersMod(modulus)
+    rng = random.Random(f"{modulus}/{trunc}")
+    c = series(ring, ("x",), trunc)
+    x = c.var("x")
+    for _ in range(4):
+        terms = {(k,): rng.randrange(modulus) for k in range(2, trunc + 1)}
+        terms[(1,)] = rng.choice([u for u in range(1, modulus) if math.gcd(u, modulus) == 1])
+        f = series(ring, ("x",), trunc, terms)
+        g = f.reversion()
+        assert f.substitute({"x": g}) == x
+        assert g.substitute({"x": f}) == x
+
+
+def test_reversion_at_trunc_zero_is_zero():
+    # modulo degree 1 the slope is truncated away and the inverse is 0
+    assert series(QQ, ("x",), 0).reversion().terms == {}
+    assert series(IntegersMod(8), ("x",), 0, {(1,): 2}).reversion().terms == {}
