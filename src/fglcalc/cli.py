@@ -5,11 +5,17 @@ with deterministic output: series documents carry their variables,
 truncation, coefficient ring descriptor, and terms sorted by exponent
 vector; JSON output sorts keys.  Exit codes: 0 success, 1 a checked
 mathematical identity failed, 2 malformed input or an unsuitable ring.
+
+``run(argv)`` may be called many times in one process.  The argument
+parser is built on the first call and reused by every later one, and
+each call looks its handler ``_cmd_<group>`` up in this module when it
+runs, so a handler rebound after the first call still takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -570,7 +576,9 @@ def _cmd_tower(a) -> tuple[int, dict]:
 # parser
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared after it."""
     p = argparse.ArgumentParser(
         prog="fglcalc",
         description="exact formal group law calculus",
@@ -594,23 +602,19 @@ def make_parser() -> argparse.ArgumentParser:
     fgl.add_argument("--k", type=int, default=2)
     fgl.add_argument("--theta", default="", help="c2,c3,... for x + c2 x^2 + ...")
     fgl.add_argument("--terms", default="", help="inline series document JSON")
-    fgl.set_defaults(fn=_cmd_fgl)
 
     quo = sub.add_parser("quotient", help="finite subgroup quotients")
     quo.add_argument("--case", required=True, choices=("mu3", "additive"))
     quo.add_argument("--p", type=int, default=3)
     common(quo, trunc=10)
-    quo.set_defaults(fn=_cmd_quotient)
 
     th = sub.add_parser("theta", help="renormalized cutoff products")
     th.add_argument("--law", default="gm", choices=("ga", "gm"))
     common(th, trunc=5)
-    th.set_defaults(fn=_cmd_theta)
 
     sg = sub.add_parser("sigma", help="Weierstrass product expansion")
     sg.add_argument("--qorder", type=int, default=6)
     sg.add_argument("--modified", default=None, help="rational shift r")
-    sg.set_defaults(fn=_cmd_sigma)
 
     ta = sub.add_parser("tate", help="integral points of the quotient group")
     ta.add_argument("action", choices=("mul", "inv", "order", "exact-seq"))
@@ -620,13 +624,11 @@ def make_parser() -> argparse.ArgumentParser:
     ta.add_argument("--y", default="1,0")
     ta.add_argument("--samples", type=int, default=60)
     ta.add_argument("--seed", type=int, default=0)
-    ta.set_defaults(fn=_cmd_tate)
 
     eu = sub.add_parser("euler", help="equivariant Euler classes")
     eu.add_argument("--law", default="gm", choices=("ga", "gm"))
     eu.add_argument("--blocks", default="none:1:1", help="root:weight:mult,...")
     common(eu, trunc=4)
-    eu.set_defaults(fn=_cmd_euler)
 
     ge = sub.add_parser("genus", help="genera, loop genera, residues")
     ge.add_argument(
@@ -648,7 +650,6 @@ def make_parser() -> argparse.ArgumentParser:
     ge.add_argument("--theta", default="", help="c2,c3,...")
     ge.add_argument("--r", default="1/2")
     common(ge, trunc=6)
-    ge.set_defaults(fn=_cmd_genus)
 
     to = sub.add_parser("tower", help="staged Thom modules")
     to.add_argument(
@@ -661,16 +662,15 @@ def make_parser() -> argparse.ArgumentParser:
         "--normalization", default="sigma", choices=("sigma", "sine", "raw")
     )
     common(to, trunc=3)
-    to.set_defaults(fn=_cmd_tower)
 
     return p
 
 
 def run(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    handler = globals()[f"_cmd_{args.group}"]
     try:
-        code, doc = args.fn(args)
+        code, doc = handler(args)
     except LawAxiomError as e:
         print(f"LawAxiomFailure: {e}", file=sys.stderr)
         return 1

@@ -518,7 +518,13 @@ class IntegersMod(Ring):
 
     def from_fraction(self, fr):
         fr = Fraction(fr)
-        return (fr.numerator * pow(fr.denominator, -1, self.modulus)) % self.modulus
+        try:
+            inv = pow(fr.denominator, -1, self.modulus)
+        except ValueError:
+            raise NotAUnitError(
+                f"denominator {fr.denominator} of {fr} is not a unit mod {self.modulus}"
+            ) from None
+        return (fr.numerator * inv) % self.modulus
 
     def add(self, a, b):
         return (a + b) % self.modulus

@@ -97,7 +97,12 @@ def lubin_coordinate(
     NotAUnitError propagates and the quotient construction is refused.
     """
     f = lubin_isogeny(H, x_trunc)
-    lead = f.coefficient((1,))
+    # [x] f_H = prod F(0, h) = prod h: read off the points, it also holds
+    # at truncation 0, where f_H is the zero series
+    lead = H.law.ring.wrap(H.law.ring.one())
+    for h in H.points:
+        if not h.is_zero():
+            lead = lead * h
     try:
         inv_lead = lead.inverse()
     except NotAUnitError as exc:

@@ -77,6 +77,37 @@ def test_fgl_log_and_exp_at_trunc_zero(capsys, action, law):
     assert (doc["vars"], doc["trunc"], doc["terms"]) == (["x"], 0, [])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fgl", "transport", "--law", "gm", "--trunc", "0"],
+        ["fgl", "transport", "--law", "gm", "--trunc", "0", "--theta", "1"],
+        ["fgl", "transport", "--law", "ga", "--trunc", "0", "--theta", "1/2,3"],
+    ],
+    ids=["gm", "gm-theta", "ga-theta"],
+)
+def test_fgl_transport_at_trunc_zero(capsys, argv):
+    # modulo degree 1 the transported law is the zero series
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out.strip(), err) == (0, "0", "")
+    code, out, _ = invoke(capsys, "--format", "json", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["vars"], doc["trunc"], doc["terms"]) == (["x", "y"], 0, [])
+
+
+def test_quotient_mu3_at_trunc_zero(capsys):
+    code, out, err = invoke(capsys, "quotient", "--case", "mu3", "--trunc", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["homomorphism = True", "isogeny:", "  0", "quotient_law:", "  0"]
+    code, out, _ = invoke(capsys, "--format", "json", "quotient", "--case", "mu3", "--trunc", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["homomorphism"] is True
+    assert (doc["isogeny"]["trunc"], doc["isogeny"]["terms"]) == (0, [])
+    assert (doc["quotient_law"]["trunc"], doc["quotient_law"]["terms"]) == (0, [])
+
+
 def test_fgl_transport(capsys):
     code, out, _ = invoke(
         capsys, "fgl", "transport", "--law", "ga", "--theta", "2,0", "--trunc", "3"
@@ -314,6 +345,12 @@ def test_zero_denominator_exit_two(capsys, argv, flag):
     assert lines[0].startswith(f"InputError: {flag}: ")
 
 
+def test_non_unit_denominator_exit_two(capsys):
+    code, out, err = invoke(capsys, "fgl", "transport", "--ring", "Z/4", "--theta", "1/2", "--trunc", "4")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["NotAUnit: denominator 2 of 1/2 is not a unit mod 4"]
+
+
 NEGATIVE_CUTOFF_ARGV = [
     ["theta", "--law", "gm", "--N", "-1"],
     ["theta", "--law", "ga", "--N", "-1"],
@@ -509,3 +546,97 @@ def test_byte_identical_across_processes(cmd):
         outs.append(r.stdout)
     assert outs[0] == outs[1]
     assert outs[0]  # non-empty
+
+
+# ------------------------------------------------------- parser reuse
+
+
+REUSE_ARGV = [
+    ["fgl", "nseries", "--law", "gm", "--k", "-3", "--trunc", "4", "--ring", "Z/27"],
+    ["quotient", "--case", "additive", "--p", "3", "--trunc", "4"],
+    ["sigma", "--modified", "1/2", "--qorder", "3"],
+    ["tate", "mul", "--artin", "z8", "--law", "gm", "--x", "1,1/2", "--y", "2,2/3"],
+    ["genus", "chi", "--manifold", "cp1", "--r", "1/3"],
+    ["genus", "chi", "--manifold", "cp1", "--r", "1"],
+    ["tower", "u", "--law", "ga", "--blocks", "x:0:1", "--n", "1"],
+]
+
+
+def invoke_exit(capsys, *argv):
+    """invoke, with argparse's own exits caught; the last stderr line."""
+    try:
+        code = run(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.splitlines()[-1:]
+
+
+def _reuse_pass(capsys):
+    return [invoke_exit(capsys, *fmt, *argv) for argv in REUSE_ARGV for fmt in ([], ["--format", "json"])]
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every argparse parser built while the test runs."""
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_run_builds_at_most_one_parser(capsys, parsers_built):
+    for argv in REUSE_ARGV[:3] * 2:
+        invoke(capsys, *argv)
+    # at most one tree: one root parser, each subcommand's parser once
+    assert parsers_built.count("fglcalc") <= 1
+    assert len(parsers_built) == len(set(parsers_built))
+
+
+def test_reused_parser_gives_identical_output(capsys):
+    first = _reuse_pass(capsys)
+    assert [r[0] for r in first] == [0] * 10 + [2, 2] + [0, 0]
+    for argv in (["sigma", "--qorder", "six"], ["fgl", "nseries", "--law", "gx"]):
+        code, out, last = invoke_exit(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert last[0].startswith("fglcalc ") and "invalid" in last[0]
+    code, out, _ = invoke_exit(capsys, "--help")
+    assert code == 0 and out.startswith("usage: fglcalc")
+    assert _reuse_pass(capsys) == first
+
+
+def test_handler_is_looked_up_per_call(capsys, monkeypatch):
+    import fglcalc.cli as cli
+
+    invoke(capsys, "sigma", "--qorder", "1")  # the parser now exists
+    seen = []
+
+    def patched(a):
+        seen.append((a.group, a.qorder))
+        return 0, {"kind": "report", "patched": True}
+
+    monkeypatch.setattr(cli, "_cmd_sigma", patched)
+    code, out, _ = invoke(capsys, "--format", "json", "sigma")
+    assert code == 0
+    assert json.loads(out) == {"kind": "report", "patched": True}
+    assert seen == [("sigma", 6)]
+
+
+def test_import_builds_no_parser(capsys, parsers_built):
+    import importlib.util
+
+    # a private copy of the module, executed from its source
+    spec = importlib.util.find_spec("fglcalc.cli")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert parsers_built == []
+    assert fresh.run(["sigma", "--qorder", "1"]) == 0
+    assert capsys.readouterr().out
+    assert parsers_built.count("fglcalc") == 1

@@ -50,6 +50,15 @@ def test_integers_mod_units():
         Z9.invert(Z9.from_int(3))
 
 
+def test_integers_mod_from_fraction_names_a_non_unit_denominator():
+    Z4 = IntegersMod(4)
+    assert Z4.from_fraction(Fraction(-1, 3)) == 1
+    with pytest.raises(NotAUnitError, match=r"^denominator 2 of 1/2 is not a unit mod 4$"):
+        Z4.from_fraction(Fraction(1, 2))
+    with pytest.raises(NotAUnitError, match=r"^denominator 6 of 5/6 is not a unit mod 9$"):
+        IntegersMod(9).from_fraction(Fraction(5, 6))
+
+
 def test_repeated_doubling_never_applies_the_op_to_the_identity():
     # the n-series chains rely on this: they never substitute into zero
     identity = object()

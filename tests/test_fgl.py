@@ -202,6 +202,17 @@ def test_transport_is_homomorphism_witness():
         transport(Fa, x * x)
 
 
+def test_transport_at_trunc_zero_is_the_zero_law():
+    # modulo degree 1 every law and coordinate change is the zero series,
+    # so the slope cannot be read and the change counts as the identity
+    for F in (additive_law(QQ, 0), multiplicative_law(QQ, 0)):
+        c = series(QQ, ("x",), 0)
+        iso = transport(F, c.var("x") + c.var("x") ** 2)
+        assert iso.strict
+        assert iso.target.law.trunc == 0 and iso.target.law.is_zero()
+        assert iso.theta.is_zero() and iso.theta_inv.is_zero()
+
+
 def test_homomorphism_frobenius_mod_p():
     # x -> x^p is an endomorphism of any law over F_p; check the additive one
     p = 5

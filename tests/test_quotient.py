@@ -14,6 +14,7 @@ from fglcalc.fgl import (
 )
 from fglcalc.quotient import (
     SubgroupPoints,
+    lubin_coordinate,
     lubin_isogeny,
     quotient_law,
     subgroup_check,
@@ -119,6 +120,24 @@ def test_quotient_scale_normalizes_derivative():
     Q = quotient_law(H)
     assert Q.scale.data == R.from_int(3)
     assert Q.coordinate.coefficient([1]) == R.wrap(R.one())
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 6])
+def test_scale_is_the_product_of_the_nonzero_points(trunc):
+    # the scale is read off the points; it must be the slope of f_H
+    H, R = cube_roots_subgroup(trunc=8)
+    f = lubin_isogeny(H, trunc)
+    _, lead = lubin_coordinate(H, trunc)
+    assert lead == f.coefficient([1])
+    assert lead.data == R.from_int(3)
+
+
+def test_quotient_at_trunc_zero():
+    H, R = cube_roots_subgroup(trunc=0)
+    Q = quotient_law(H)
+    assert Q.scale.data == R.from_int(3)
+    assert Q.isogeny.is_zero() and Q.law.law.is_zero()
+    assert Q.law.law.trunc == 0
 
 
 def test_trivial_subgroup_gives_identity_isogeny():
