@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -268,6 +269,21 @@ def _qorder_arg(qorder: int) -> int:
     return qorder
 
 
+# sigma[L, r] needs a q-window of depth m(m+1)/2, m = floor(r), so its
+# cost grows as m^4; at |m| = 64 one call takes about 1 s
+MODIFIED_CAP = 64
+
+
+def _modified_arg(text: str) -> Fraction:
+    """--modified r, with |floor(r)| at most MODIFIED_CAP."""
+    r = _rational_arg(text, "--modified")
+    if abs(math.floor(r)) > MODIFIED_CAP:
+        raise ValueError(
+            f"--modified: |floor({r})| exceeds the cap {MODIFIED_CAP}"
+        )
+    return r
+
+
 def _theta_from_coeffs(ring, coeffs: str, trunc: int) -> MultiSeries:
     """x + c2 x^2 + c3 x^3 + ... from a comma list of rationals."""
     ctx = series(ring, (X,), trunc)
@@ -416,7 +432,7 @@ def _cmd_theta(a) -> tuple[int, dict]:
 def _cmd_sigma(a) -> tuple[int, dict]:
     _qorder_arg(a.qorder)
     if a.modified is not None:
-        el = sigma_modified(_rational_arg(a.modified, "--modified"), a.qorder)
+        el = sigma_modified(_modified_arg(a.modified), a.qorder)
     else:
         el = sigma_series(a.qorder)
     return 0, element_document(el)
@@ -614,7 +630,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     sg = sub.add_parser("sigma", help="Weierstrass product expansion")
     sg.add_argument("--qorder", type=int, default=6)
-    sg.add_argument("--modified", default=None, help="rational shift r")
+    sg.add_argument(
+        "--modified",
+        default=None,
+        help=f"rational shift r, with |floor(r)| <= {MODIFIED_CAP}",
+    )
 
     ta = sub.add_parser("tate", help="integral points of the quotient group")
     ta.add_argument("action", choices=("mul", "inv", "order", "exact-seq"))

@@ -50,7 +50,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
@@ -135,8 +136,8 @@ class Ring:
         """What a series product loop over this ring runs on:
         (a, b, mul, add, is_zero, finish), the two operands' terms, the
         pair operations, and finish, which turns the loop's output
-        terms back into payloads.  Every ring but Rationals runs on its
-        own payloads."""
+        terms back into payloads.  Every ring but Rationals and series
+        rings over Q runs on its own payloads."""
         return a, b, self.mul, self.add, self.is_zero, _same_terms
 
     def linear_combination(self, pairs: Iterable[tuple[Optional[Payload], dict]]) -> dict:
@@ -236,6 +237,57 @@ def _over_common_denominator(terms: dict) -> tuple[dict, int]:
     """Rational terms as (integer numerators, their common denominator)."""
     den = math.lcm(*[c.denominator for c in terms.values()])
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _series_over_common_denominator(terms: dict) -> tuple[dict, int]:
+    """Terms whose payloads are rational series {e: Fraction}, as
+    (integer series payloads, one common denominator for all of them)."""
+    den = math.lcm(*[c.denominator for p in terms.values() for c in p.values()])
+    return {
+        k: {e: c.numerator * (den // c.denominator) for e, c in p.items()}
+        for k, p in terms.items()
+    }, den
+
+
+def _long_divide_rational(a: dict, d: dict, v: int, top: int) -> dict:
+    """_SeriesLike._long_divide over Q, on integers.
+
+    With a = A / den_a and d = D / den_d over integer series A and D,
+    a / d = (den_d / den_a) * A / D.  Let u = D_v be D's lowest
+    coefficient and i = e - start.  The numerator N_e = u^(i+1) (A/D)_e
+    is an integer:
+
+        N_e = u^i A_{e+v} - sum_{s >= 1} D_{v+s} u^(s-1) N_{e-s}
+
+    so each quotient term costs one Fraction, not one gcd per step.
+    When u is 1 or -1, as for every division point 1 - q^k, the powers
+    of u are 1 or -1.
+    """
+    if not a:
+        return {}
+    nums, den_a = _over_common_denominator(a)
+    den_series, den_d = _over_common_denominator(d)
+    u = den_series[v]
+    rest = sorted(
+        (j - v, -c * u ** (j - v - 1)) for j, c in den_series.items() if j != v
+    )
+    start = min(a) - v
+    out: dict[int, Fraction] = {}
+    quot: dict[int, int] = {}
+    scale = 1  # u^i
+    for e in range(start, top + 1):
+        n = nums.get(e + v, 0) * scale
+        for s, c in rest:
+            if e - s < start:
+                break
+            prev = quot.get(e - s)
+            if prev is not None:
+                n += c * prev
+        scale *= u
+        if n:
+            quot[e] = n
+            out[e] = Fraction(n * den_d, den_a * scale)
+    return out
 
 
 def _exact_rational(value) -> Fraction:
@@ -608,6 +660,32 @@ class _SeriesLike(Ring):
     def neg(self, a):
         return {e: self.base.neg(c) for e, c in a.items()}
 
+    def is_zero(self, a):
+        return not a
+
+    @cached_property
+    def _over_integers(self) -> "_SeriesLike":
+        """The same window over Z, where Q payloads run as numerators."""
+        return replace(self, base=Integers())
+
+    def product_kernel(self, a, b):
+        # over Q every payload of an operand goes over one common
+        # denominator, so the pairs multiply as integer series in the
+        # same window and each output coefficient is one Fraction
+        if not isinstance(self.base, Rationals):
+            return super().product_kernel(a, b)
+        a, den_a = _series_over_common_denominator(a)
+        b, den_b = _series_over_common_denominator(b)
+        den = den_a * den_b
+
+        def finish(out):
+            return {
+                k: {e: Fraction(n, den) for e, n in p.items()} for k, p in out.items()
+            }
+
+        ints = self._over_integers
+        return a, b, ints.mul, ints.add, ints.is_zero, finish
+
     def mul(self, a, b):
         if len(a) > len(b):
             a, b = b, a
@@ -617,6 +695,18 @@ class _SeriesLike(Ring):
         low = min(a) + min(b)
         if lo is not None and low < lo:
             self._check_exponent(low)  # raises TailOverflowError
+        if len(a) == 1:
+            # a monomial: a shift and a scale, with no kernel set-up
+            ((e1, c1),) = a.items()
+            bmul, bzero = self.base.mul, self.base.is_zero
+            out = {}
+            for e2, c2 in b.items():
+                e = e1 + e2
+                if hi is None or e <= hi:
+                    p = bmul(c1, c2)
+                    if not bzero(p):
+                        out[e] = p
+            return out
         # over Q the pairs run on integers: one denominator per product,
         # not one gcd per pair
         a, b, bmul, badd, bzero, finish = self.base.product_kernel(a, b)
@@ -649,18 +739,32 @@ class _SeriesLike(Ring):
         for e from val(a) - v upward.  Each c_e costs one base product
         per term of d, so a sparse divisor is cheap.  c_e reads a only
         through exponent e + v and d only through e + 2v - val(a), and
-        no window bound is applied: callers choose top.
+        no window bound is applied: callers choose top.  Over Q the
+        recurrence runs on integers (see _long_divide_rational); over
+        other bases a step skips the product by one or minus one.
         """
         base = self.base
         v = min(d)
-        inv = base.invert(d[v])
+        if isinstance(base, Rationals):
+            return _long_divide_rational(a, d, v, top)
+        bmul, badd, bneg, bzero = base.mul, base.add, base.neg, base.is_zero
+        # payloads are canonical, so == against one and minus one is ring
+        # equality: each factor that is one of them becomes that very
+        # object, and a division point 1 - q^k costs no base product
+        one = base.one()
+        minus_one = bneg(one)
+
+        def unit_or_self(c):
+            return one if c == one else minus_one if c == minus_one else c
+
+        inv = unit_or_self(base.invert(d[v]))
         out: dict[int, Payload] = {}
         if not a:
             return out
         rest = sorted(
-            ((j - v, base.neg(c)) for j, c in d.items() if j != v), key=itemgetter(0)
+            ((j - v, unit_or_self(bneg(c))) for j, c in d.items() if j != v),
+            key=itemgetter(0),
         )
-        bmul, badd, bzero = base.mul, base.add, base.is_zero
         start = min(a) - v
         for e in range(start, top + 1):
             acc = a.get(e + v)
@@ -669,10 +773,10 @@ class _SeriesLike(Ring):
                     break
                 prev = out.get(e - s)
                 if prev is not None:
-                    p = bmul(c, prev)
+                    p = prev if c is one else bneg(prev) if c is minus_one else bmul(c, prev)
                     acc = p if acc is None else badd(acc, p)
             if acc is not None:
-                q = bmul(acc, inv)
+                q = acc if inv is one else bneg(acc) if inv is minus_one else bmul(acc, inv)
                 if not bzero(q):
                     out[e] = q
         return out

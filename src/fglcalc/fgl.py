@@ -7,10 +7,12 @@ non-law.  Over rings with rational scalars, and over Z and Z[1/n] read
 inside Q, associativity is checked through the logarithm,
 l(F(x, y)) = l(x) + l(y); other rings, such as Z/n and Artin rings over
 it, expand F(F(x, y), z) = F(x, F(y, z)) in three variables (see
-``check_law_axioms``).  The ``exact`` flag records that the stored
-polynomial is the entire law (true for the additive and multiplicative
-laws), which legitimizes evaluation at arguments with non-nilpotent
-constant parts.
+``check_law_axioms``).  The ``exact`` flag records that the law is a
+polynomial, kept whole in ``whole`` (true for the additive and
+multiplicative laws), which legitimizes evaluation at arguments with
+non-nilpotent constant parts.  The stored series is that polynomial
+truncated, so below trunc 2 the multiplicative law stores x + y but
+still adds points by x + y - xy.
 
 The one-dimensional calculus lives here: n-series by binary addition
 chains, the formal inverse by fixed-point iteration, logarithms by
@@ -20,9 +22,9 @@ reversion, and transport of a law along a coordinate change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Union
+from typing import Optional, Union
 
 from .coefficients import Integers, Rationals, Ring, RingElement, repeated
 from .errors import (
@@ -142,12 +144,17 @@ class FormalGroupLaw:
     law: MultiSeries
     exact: bool = False
     name: str = ""
+    # for an exact law, the whole polynomial, at a truncation of at
+    # least its degree; the stored law itself unless given
+    whole: Optional[MultiSeries] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.law.vars != (X, Y):
             self.law = self.law.rename_vars(
                 {self.law.vars[0]: X, self.law.vars[1]: Y}
             )
+        if self.exact and self.whole is None:
+            self.whole = self.law
 
     @property
     def ring(self) -> Ring:
@@ -168,14 +175,18 @@ class FormalGroupLaw:
 
 
 def additive_law(ring: Ring, trunc: int) -> FormalGroupLaw:
-    s = series(ring, (X, Y), trunc)
-    return FormalGroupLaw(s.var(X) + s.var(Y), exact=True, name="additive")
+    s = series(ring, (X, Y), max(trunc, 1))
+    whole = s.var(X) + s.var(Y)
+    return FormalGroupLaw(whole.with_trunc(trunc), exact=True, name="additive", whole=whole)
 
 
 def multiplicative_law(ring: Ring, trunc: int) -> FormalGroupLaw:
-    s = series(ring, (X, Y), trunc)
+    s = series(ring, (X, Y), max(trunc, 2))
     x, y = s.var(X), s.var(Y)
-    return FormalGroupLaw(x + y - x * y, exact=True, name="multiplicative")
+    whole = x + y - x * y
+    return FormalGroupLaw(
+        whole.with_trunc(trunc), exact=True, name="multiplicative", whole=whole
+    )
 
 
 def from_series(law: MultiSeries, exact: bool = False, name: str = "") -> FormalGroupLaw:
@@ -223,9 +234,9 @@ def law_apply(
     has been sized with the headroom described in theta construction.
     """
     if isinstance(a, RingElement) and isinstance(b, RingElement):
-        return F.law.eval_elements(
-            {X: a, Y: b}, mode="exact" if F.exact else "strict"
-        )
+        if F.exact:
+            return F.whole.eval_elements({X: a, Y: b}, mode="exact")
+        return F.law.eval_elements({X: a, Y: b}, mode="strict")
     if isinstance(a, RingElement):
         a = b.const(a.data) if isinstance(b, MultiSeries) else a
     if isinstance(b, RingElement):
@@ -235,7 +246,9 @@ def law_apply(
     if a.constant_term().is_zero() and b.constant_term().is_zero():
         mode = "strict"
     elif F.exact:
-        mode = "exact"
+        # constant parts meet every term of the law, so the whole
+        # polynomial is substituted, whatever the law's truncation
+        return F.whole.substitute({X: a, Y: b}, mode="exact")
     else:
         mode = "nilpotent"
     return F.law.substitute({X: a, Y: b}, mode=mode)

@@ -155,7 +155,7 @@ def theta_vanishes_at(theta: ThetaSeries, k: int) -> bool:
     if theta.law.exact:
         # the product is an honest polynomial; evaluating it at a unit
         # is only sound if no term was truncated away
-        deg_x = max((e[0] for e in theta.law.law.terms), default=0)
+        deg_x = max((e[0] for e in theta.law.whole.terms), default=0)
         full = 2 * theta.cutoff * deg_x + 1
         if theta.series.trunc < full:
             raise TruncationError(

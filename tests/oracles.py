@@ -132,6 +132,49 @@ def s_mul_all_pairs(base, a, b, hi=None):
     }
 
 
+def s_long_divide(base, a, d, top):
+    """a / d by the schoolbook recurrence, through exponent top:
+    c_e = (a_{e+v} - sum_{j != v} d_j c_{e+v-j}) / d_v, with v the
+    valuation of d, in the base ring's own arithmetic (Fractions over Q)."""
+    v = min(d)
+    inv = base.invert(d[v])
+    out = {}
+    if not a:
+        return out
+    start = min(a) - v
+    for e in range(start, top + 1):
+        acc = a.get(e + v, base.zero())
+        for j, c in d.items():
+            if j != v and e + v - j in out:
+                acc = base.add(acc, base.neg(base.mul(c, out[e + v - j])))
+        q = base.mul(acc, inv)
+        if not base.is_zero(q):
+            out[e] = q
+    return out
+
+
+def m_mul_series_all_pairs(a, b, trunc, hi=None):
+    """Product of two multivariate series whose coefficients are
+    rational one-parameter series {e: Fraction}: every pair of outer
+    terms of total degree <= trunc, every pair of inner terms, inner
+    exponents above hi dropped afterwards."""
+    out = {}
+    for ea, pa in a.items():
+        for eb, pb in b.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            if sum(key) > trunc:
+                continue
+            acc = out.setdefault(key, {})
+            for sa, ca in pa.items():
+                for sb, cb in pb.items():
+                    acc[sa + sb] = acc.get(sa + sb, 0) + ca * cb
+    out = {
+        k: {e: c for e, c in p.items() if c != 0 and (hi is None or e <= hi)}
+        for k, p in out.items()
+    }
+    return {k: p for k, p in out.items() if p}
+
+
 def newton_inverse(base, a, order):
     """1/a through q^order for a with a unit constant term, by Newton's
     iteration b <- b (2 - a b), which doubles the correct prefix."""

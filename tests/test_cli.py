@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from fglcalc.cli import run
+from fglcalc.cli import _modified_arg, run
 from fglcalc.coefficients import Rationals, parse_ring
 from fglcalc.polyseries import series
 
@@ -640,3 +641,54 @@ def test_import_builds_no_parser(capsys, parsers_built):
     assert fresh.run(["sigma", "--qorder", "1"]) == 0
     assert capsys.readouterr().out
     assert parsers_built.count("fglcalc") == 1
+
+
+MU3_LOW_TRUNC = {
+    1: (
+        "({(0):3})*x",
+        "({(0):1})*y + ({(0):1})*x",
+        [[[1], "{(0):3}"]],
+        [[[0, 1], "{(0):1}"], [[1, 0], "{(0):1}"]],
+    ),
+    2: (
+        "({(0):3})*x + ({(0):-3})*x^2",
+        "({(0):1})*y + ({(0):1})*x + ({(0):-1})*x*y",
+        [[[1], "{(0):3}"], [[2], "{(0):-3}"]],
+        [[[0, 1], "{(0):1}"], [[1, 0], "{(0):1}"], [[1, 1], "{(0):-1}"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("trunc", sorted(MU3_LOW_TRUNC))
+def test_quotient_mu3_below_the_law_degree(capsys, trunc):
+    # the points add by the whole law x + y - xy even where the stored
+    # series has lost its xy term, so they form a subgroup at every trunc
+    isogeny, law, isogeny_terms, law_terms = MU3_LOW_TRUNC[trunc]
+    code, out, err = invoke(capsys, "quotient", "--case", "mu3", "--trunc", str(trunc))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["homomorphism = True", "isogeny:", f"  {isogeny}", "quotient_law:", f"  {law}"]
+    code, out, err = invoke(capsys, "--format", "json", "quotient", "--case", "mu3", "--trunc", str(trunc))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["homomorphism"] is True
+    for key, want in (("isogeny", isogeny_terms), ("quotient_law", law_terms)):
+        assert doc[key]["trunc"] == trunc
+        assert [[t["exponents"], t["coeff"]] for t in doc[key]["terms"]] == want
+
+
+@pytest.mark.parametrize("r", ["65", "-65", "131/2", "-129/2", "100000"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sigma_modified_over_the_cap_exit_two(capsys, r, fmt):
+    code, out, err = invoke(capsys, "--format", fmt, "sigma", f"--modified={r}", "--qorder", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"InputError: --modified: |floor({Fraction(r)})| exceeds the cap 64"]
+
+
+def test_sigma_modified_cap_admits_its_edges(capsys):
+    # the largest allowed |floor(r)| is the cap itself, for both signs
+    assert [_modified_arg(r) for r in ("64", "-64", "129/2", "-127/2")] == [
+        64, -64, Fraction(129, 2), Fraction(-127, 2),
+    ]
+    with pytest.raises(SystemExit):
+        run(["sigma", "--help"])
+    assert "|floor(r)| <= 64" in capsys.readouterr().out

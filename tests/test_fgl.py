@@ -308,3 +308,22 @@ def test_law_calculus_leaves_no_garbage_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 2, 3])
+@pytest.mark.parametrize("make,whole", [
+    (additive_law, lambda a, b: a + b),
+    (multiplicative_law, lambda a, b: a + b - a * b),
+])
+def test_exact_laws_add_points_by_the_whole_polynomial(make, whole, trunc):
+    # below the law's degree the stored series is truncated (x + y for gm
+    # at trunc 1, 0 at trunc 0), but the law stays exact: points with
+    # non-nilpotent parts, and series with constant terms, add by the
+    # whole polynomial, and the series sum is its truncation
+    F = make(QQ, trunc)
+    assert F.exact
+    a, b = QQ.el(Fraction(2, 3)), QQ.el(-5)
+    assert law_apply(F, a, b) == whole(a, b)
+    ctx = series(QQ, ("x",), trunc)
+    s, t = ctx.const(Fraction(1, 2)) + ctx.var("x"), ctx.const(3) - ctx.var("x")
+    assert law_apply(F, s, t) == whole(s, t)
