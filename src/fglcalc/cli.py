@@ -177,12 +177,11 @@ def _ring_arg(name: str):
     return parse_ring(name)
 
 
+LAWS = {"ga": additive_law, "gm": multiplicative_law}
+
+
 def _law_arg(name: str, ring, trunc: int):
-    if name == "ga":
-        return additive_law(ring, trunc)
-    if name == "gm":
-        return multiplicative_law(ring, trunc)
-    raise ValueError(f"unknown law {name!r}")
+    return LAWS[name](ring, trunc)
 
 
 _MANIFOLD_JSON_SHAPE = (
@@ -223,7 +222,9 @@ def _manifold_blocks(text: str) -> tuple[ChernBlock, ...]:
     return tuple(blocks)
 
 
-def _parse_manifold(token: str, json_blocks: str | None) -> ChernData:
+def parse_manifold(token: str, json_blocks: str | None = None) -> ChernData:
+    """The manifold named by --manifold (point, cpN, or cpAxcpB...), or
+    the blocks of --manifold-json when given."""
     if json_blocks:
         return ChernData(blocks=_manifold_blocks(json_blocks), name="custom")
     if token == "point":
@@ -232,7 +233,7 @@ def _parse_manifold(token: str, json_blocks: str | None) -> ChernData:
     datas = []
     for i, part in enumerate(parts):
         if not (part.startswith("cp") and part[2:].isdigit()):
-            raise ValueError(f"unknown manifold token {part!r}")
+            raise ValueError(f"unknown manifold {part!r}")
         var = "h" if len(parts) == 1 else f"h{i + 1}"
         datas.append(cp(int(part[2:]), var))
     out = datas[0]
@@ -261,12 +262,12 @@ def _rational_arg(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag}: {text!r} is not a rational number") from None
 
 
-def _qorder_arg(qorder: int) -> int:
-    """--qorder for a command that reads it; a negative order is bad
-    input for the flag."""
-    if qorder < 0:
-        raise ValueError(f"--qorder must be nonnegative, got {qorder}")
-    return qorder
+def _nonnegative_arg(value: int, flag: str) -> int:
+    """An order or count flag for a command that reads it; a negative
+    value is bad input for the flag."""
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
+    return value
 
 
 # sigma[L, r] needs a q-window of depth m(m+1)/2, m = floor(r), so its
@@ -296,26 +297,28 @@ def _theta_from_coeffs(ring, coeffs: str, trunc: int) -> MultiSeries:
     return th
 
 
-def _context_for(law_name: str, dim: int, N: int, qorder: int) -> EquivariantContext:
-    """Windows sized so the documented computations stay exact where
-    they are expected to be: see the loop genus notes in genus.py."""
-    _qorder_arg(qorder)
-    trunc = dim + 2
-    if law_name == "ga":
-        return additive_context(
-            trunc=trunc,
-            qhat_order=2 * dim + 2,
-            tail=4 * dim + 4 + 2 * N,
-            localized=True,
-            unit_bound=N,
-        )
-    return multiplicative_context(
-        trunc=trunc,
-        q_order=qorder + 6 * N + 10,
-        tail=4 * N + 2 * dim + 8,
-        localized=True,
-        unit_bound=N,
-    )
+def _law_context(
+    law: str, trunc: int, order: int, tail: int, unit_bound: int
+) -> EquivariantContext:
+    """The localized context of the named law, in a Laurent window of
+    the given order and tail."""
+    window = dict(trunc=trunc, tail=tail, localized=True, unit_bound=unit_bound)
+    if law == "ga":
+        return additive_context(qhat_order=order, **window)
+    return multiplicative_context(q_order=order, **window)
+
+
+def loop_context(law: str, dim: int, N: int, qorder: int) -> EquivariantContext:
+    """The context for loop genera and Euler classes of dimension dim
+    at cutoff N, with windows sized so the documented computations stay
+    exact where they are expected to be: see the loop genus notes in
+    genus.py."""
+    _nonnegative_arg(qorder, "--qorder")
+    if law == "ga":
+        order, tail = 2 * dim + 2, 4 * dim + 4 + 2 * N
+    else:
+        order, tail = qorder + 6 * N + 10, 4 * N + 2 * dim + 8
+    return _law_context(law, dim + 2, order, tail, N)
 
 
 _ARTIN = {
@@ -334,9 +337,15 @@ def _tate_group(artin: str, law_name: str, trunc: int = 8) -> TateGroup:
 
 
 def _parse_tate_point(group: TateGroup, token: str, flag: str) -> TatePoint:
-    g_text, a_text = token.split(",")
+    """A point 'c,a' with g = c*e: an integer c and a rational a."""
+    try:
+        c_text, a_text = token.split(",")
+        coeff = int(c_text)
+    except ValueError:
+        raise ValueError(
+            f"{flag}: expected 'c,a' with an integer c, got {token!r}"
+        ) from None
     ring = group.law.ring
-    coeff = int(g_text)
     g = ring.wrap(
         {(1,): ring.base.from_int(coeff)} if coeff else {}
     )
@@ -349,31 +358,26 @@ def _parse_tate_point(group: TateGroup, token: str, flag: str) -> TatePoint:
 
 def _cmd_fgl(a) -> tuple[int, dict]:
     ring = _ring_arg(a.ring)
+    if a.action == "validate" and a.terms:
+        ms = parse_series_document(json.loads(a.terms))
+        try:
+            check_law_axioms(ms)
+        except LawAxiomError as e:
+            return 1, {"kind": "report", "ok": False, "reason": str(e)}
+        return 0, {"kind": "report", "ok": True}
+    F = _law_arg(a.law, ring, a.trunc)
     if a.action == "construct":
-        F = _law_arg(a.law, ring, a.trunc)
         return 0, series_document(F.law)
     if a.action == "validate":
-        if a.terms:
-            ms = parse_series_document(json.loads(a.terms))
-            try:
-                check_law_axioms(ms)
-            except LawAxiomError as e:
-                return 1, {"kind": "report", "ok": False, "reason": str(e)}
-            return 0, {"kind": "report", "ok": True}
-        F = _law_arg(a.law, ring, a.trunc)
         check_law_axioms(F.law)
         return 0, {"kind": "report", "ok": True}
     if a.action == "log":
-        F = _law_arg(a.law, ring, a.trunc)
         return 0, series_document(fgl_log(F))
     if a.action == "exp":
-        F = _law_arg(a.law, ring, a.trunc)
         return 0, series_document(fgl_exp(F))
     if a.action == "nseries":
-        F = _law_arg(a.law, ring, a.trunc)
         return 0, series_document(n_series(F, a.k))
     if a.action == "transport":
-        F = _law_arg(a.law, ring, a.trunc)
         th = _theta_from_coeffs(ring, a.theta, a.trunc)
         iso = transport(F, th)
         return 0, series_document(iso.target.law)
@@ -414,7 +418,7 @@ def _cmd_quotient(a) -> tuple[int, dict]:
 
 
 def _cmd_theta(a) -> tuple[int, dict]:
-    _qorder_arg(a.qorder)
+    _nonnegative_arg(a.qorder, "--qorder")
     if a.law == "gm":
         raw, normalized = theta_multiplicative_L(a.N, a.qorder)
         return 0, {
@@ -422,6 +426,7 @@ def _cmd_theta(a) -> tuple[int, dict]:
             "theta_L": element_document(raw),
             "normalized": element_document(normalized),
         }
+    _nonnegative_arg(a.trunc, "--trunc")
     ring = LaurentSeries(Rationals(), "qh", 2, 2 * a.trunc + 2)
     law = additive_law(ring, a.trunc)
     qhat = RingElement(ring, ring.param_payload(1))
@@ -430,7 +435,7 @@ def _cmd_theta(a) -> tuple[int, dict]:
 
 
 def _cmd_sigma(a) -> tuple[int, dict]:
-    _qorder_arg(a.qorder)
+    _nonnegative_arg(a.qorder, "--qorder")
     if a.modified is not None:
         el = sigma_modified(_modified_arg(a.modified), a.qorder)
     else:
@@ -468,7 +473,7 @@ def _cmd_tate(a) -> tuple[int, dict]:
         ring = group.law.ring
         mod, _ = _ARTIN[a.artin]
         samples = []
-        for _i in range(a.samples):
+        for _i in range(_nonnegative_arg(a.samples, "--samples")):
             c = rng.randrange(mod)
             x = ring.wrap({(1,): ring.base.from_int(c)} if c else {})
             frac = Fraction(
@@ -487,7 +492,7 @@ def _cmd_tate(a) -> tuple[int, dict]:
 
 
 def _cmd_euler(a) -> tuple[int, dict]:
-    ctx = _context_for(a.law, a.trunc, a.N, a.qorder)
+    ctx = loop_context(a.law, a.trunc, a.N, a.qorder)
     V = bundle(ctx, _parse_blocks(a.blocks))
     e = euler_class(V, a.trunc)
     return 0, {
@@ -498,7 +503,7 @@ def _cmd_euler(a) -> tuple[int, dict]:
 
 
 def _cmd_genus(a) -> tuple[int, dict]:
-    Xd = _parse_manifold(a.manifold, a.manifold_json)
+    Xd = parse_manifold(a.manifold, a.manifold_json)
     d = Xd.dimension
     if a.action == "todd":
         F = multiplicative_law(Rationals(), d + 2)
@@ -530,11 +535,11 @@ def _cmd_genus(a) -> tuple[int, dict]:
         }
         return (0 if ok else 1), doc
     if a.action == "loop":
-        ctx = _context_for(a.law, d, a.N, a.qorder)
+        ctx = loop_context(a.law, d, a.N, a.qorder)
         v = loop_genus(Xd, ctx, a.N)
         return 0, element_document(v)
     if a.action == "loop-vs-quotient":
-        ctx = _context_for(a.law, d, a.N, a.qorder)
+        ctx = loop_context(a.law, d, a.N, a.qorder)
         ok = loop_vs_quotient_check(Xd, ctx, a.N)
         return (0 if ok else 1), {"kind": "report", "ok": ok}
     if a.action == "chi":
@@ -544,26 +549,15 @@ def _cmd_genus(a) -> tuple[int, dict]:
 
 
 def _cmd_tower(a) -> tuple[int, dict]:
-    _qorder_arg(a.qorder)
+    _nonnegative_arg(a.qorder, "--qorder")
+    _nonnegative_arg(a.trunc, "--trunc")
     rank = sum(m for _, _, m in _parse_blocks(a.blocks))
     n_big = max(a.n, a.N, 6)
     if a.law == "ga":
-        ctx = additive_context(
-            trunc=a.trunc,
-            qhat_order=2 * n_big * (rank + 1) * a.trunc,
-            tail=2 * n_big * (rank + 1) * a.trunc,
-            localized=True,
-            unit_bound=n_big,
-        )
+        depth = 2 * n_big * (rank + 1) * a.trunc
     else:
         depth = n_big * (n_big + 1) * max(rank, 1) + a.trunc + a.qorder
-        ctx = multiplicative_context(
-            trunc=a.trunc,
-            q_order=depth,
-            tail=depth,
-            localized=True,
-            unit_bound=n_big,
-        )
+    ctx = _law_context(a.law, a.trunc, depth, depth, n_big)
     T = tower(ctx, bundle(ctx, _parse_blocks(a.blocks)))
     if a.action == "transition":
         return 0, series_document(transition(T, a.n))
@@ -608,13 +602,16 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--qorder", type=int, default=6)
         sp.add_argument("--N", type=int, default=3)
 
+    def law(sp, default):
+        sp.add_argument("--law", default=default, choices=tuple(LAWS))
+
     fgl = sub.add_parser("fgl", help="laws, logs, n-series, transport")
     fgl.add_argument(
         "action",
         choices=("construct", "validate", "log", "exp", "nseries", "transport"),
     )
     common(fgl)
-    fgl.add_argument("--law", default="gm", choices=("ga", "gm"))
+    law(fgl, "gm")
     fgl.add_argument("--k", type=int, default=2)
     fgl.add_argument("--theta", default="", help="c2,c3,... for x + c2 x^2 + ...")
     fgl.add_argument("--terms", default="", help="inline series document JSON")
@@ -625,7 +622,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(quo, trunc=10)
 
     th = sub.add_parser("theta", help="renormalized cutoff products")
-    th.add_argument("--law", default="gm", choices=("ga", "gm"))
+    law(th, "gm")
     common(th, trunc=5)
 
     sg = sub.add_parser("sigma", help="Weierstrass product expansion")
@@ -639,14 +636,14 @@ def make_parser() -> argparse.ArgumentParser:
     ta = sub.add_parser("tate", help="integral points of the quotient group")
     ta.add_argument("action", choices=("mul", "inv", "order", "exact-seq"))
     ta.add_argument("--artin", default="z4", choices=tuple(_ARTIN))
-    ta.add_argument("--law", default="gm", choices=("ga", "gm"))
+    law(ta, "gm")
     ta.add_argument("--x", default="1,0", help="point as 'c,a': g = c*e")
     ta.add_argument("--y", default="1,0")
     ta.add_argument("--samples", type=int, default=60)
     ta.add_argument("--seed", type=int, default=0)
 
     eu = sub.add_parser("euler", help="equivariant Euler classes")
-    eu.add_argument("--law", default="gm", choices=("ga", "gm"))
+    law(eu, "gm")
     eu.add_argument("--blocks", default="none:1:1", help="root:weight:mult,...")
     common(eu, trunc=4)
 
@@ -665,7 +662,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     ge.add_argument("--manifold", default="cp1")
     ge.add_argument("--manifold-json", default=None)
-    ge.add_argument("--law", default="ga", choices=("ga", "gm"))
+    law(ge, "ga")
     ge.add_argument("--coeffs", default="1", help="Q(x) coefficients from x^0")
     ge.add_argument("--theta", default="", help="c2,c3,...")
     ge.add_argument("--r", default="1/2")
@@ -675,7 +672,7 @@ def make_parser() -> argparse.ArgumentParser:
     to.add_argument(
         "action", choices=("transition", "u", "omega-check", "relative", "stabilize")
     )
-    to.add_argument("--law", default="ga", choices=("ga", "gm"))
+    law(to, "ga")
     to.add_argument("--blocks", default="none:0:1")
     to.add_argument("--n", type=int, default=1)
     to.add_argument(

@@ -7,12 +7,13 @@ non-law.  Over rings with rational scalars, and over Z and Z[1/n] read
 inside Q, associativity is checked through the logarithm,
 l(F(x, y)) = l(x) + l(y); other rings, such as Z/n and Artin rings over
 it, expand F(F(x, y), z) = F(x, F(y, z)) in three variables (see
-``check_law_axioms``).  The ``exact`` flag records that the law is a
-polynomial, kept whole in ``whole`` (true for the additive and
-multiplicative laws), which legitimizes evaluation at arguments with
-non-nilpotent constant parts.  The stored series is that polynomial
-truncated, so below trunc 2 the multiplicative law stores x + y but
-still adds points by x + y - xy.
+``check_law_axioms``).  A law that is a polynomial keeps it whole in
+``whole`` (the additive and multiplicative laws do); such a law is
+exact, which legitimizes evaluation at arguments with non-nilpotent
+constant parts.  The stored series is that polynomial truncated, so
+below trunc 2 the multiplicative law stores x + y but still adds
+points by x + y - xy.  Closed forms for inverses and n-series are read
+off the polynomial, never off the law's display name.
 
 The one-dimensional calculus lives here: n-series by binary addition
 chains, the formal inverse by fixed-point iteration, logarithms by
@@ -142,10 +143,9 @@ class FormalGroupLaw:
     """A validated commutative one-dimensional formal group law."""
 
     law: MultiSeries
-    exact: bool = False
     name: str = ""
-    # for an exact law, the whole polynomial, at a truncation of at
-    # least its degree; the stored law itself unless given
+    # for a polynomial law, the whole polynomial in x and y, at a
+    # truncation of at least its degree
     whole: Optional[MultiSeries] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -153,8 +153,11 @@ class FormalGroupLaw:
             self.law = self.law.rename_vars(
                 {self.law.vars[0]: X, self.law.vars[1]: Y}
             )
-        if self.exact and self.whole is None:
-            self.whole = self.law
+
+    @property
+    def exact(self) -> bool:
+        """Is the law a polynomial, kept whole?"""
+        return self.whole is not None
 
     @property
     def ring(self) -> Ring:
@@ -177,21 +180,19 @@ class FormalGroupLaw:
 def additive_law(ring: Ring, trunc: int) -> FormalGroupLaw:
     s = series(ring, (X, Y), max(trunc, 1))
     whole = s.var(X) + s.var(Y)
-    return FormalGroupLaw(whole.with_trunc(trunc), exact=True, name="additive", whole=whole)
+    return FormalGroupLaw(whole.with_trunc(trunc), name="additive", whole=whole)
 
 
 def multiplicative_law(ring: Ring, trunc: int) -> FormalGroupLaw:
     s = series(ring, (X, Y), max(trunc, 2))
     x, y = s.var(X), s.var(Y)
     whole = x + y - x * y
-    return FormalGroupLaw(
-        whole.with_trunc(trunc), exact=True, name="multiplicative", whole=whole
-    )
+    return FormalGroupLaw(whole.with_trunc(trunc), name="multiplicative", whole=whole)
 
 
-def from_series(law: MultiSeries, exact: bool = False, name: str = "") -> FormalGroupLaw:
+def from_series(law: MultiSeries, name: str = "") -> FormalGroupLaw:
     check_law_axioms(law)
-    return FormalGroupLaw(law, exact=exact, name=name)
+    return FormalGroupLaw(law, name=name)
 
 
 def from_log(log: MultiSeries) -> FormalGroupLaw:
@@ -215,7 +216,7 @@ def from_log(log: MultiSeries) -> FormalGroupLaw:
     lx = log.rename_vars({v: X}).lift_to((X, Y))
     ly = log.rename_vars({v: Y}).lift_to((X, Y))
     law = exp.rename_vars({v: X}).substitute({X: lx + ly})
-    return from_series(law, exact=False, name="from_log")
+    return from_series(law, name="from_log")
 
 
 # ----------------------------------------------------------------------
@@ -269,15 +270,27 @@ def inverse_series(F: FormalGroupLaw) -> MultiSeries:
     return i
 
 
+_XY_EXPONENTS = frozenset({(1, 0), (0, 1), (1, 1)})
+
+
+def xy_coefficient(F: FormalGroupLaw) -> Optional[RingElement]:
+    """c when F is the whole polynomial x + y + c xy, else None.
+
+    c is 0 for the additive law and -1 for the multiplicative one.  The
+    unit axioms fix the linear terms, so the exponents decide."""
+    whole = F.whole
+    if whole is None or not whole.terms.keys() <= _XY_EXPONENTS:
+        return None
+    return whole.ring.wrap(whole.terms.get((1, 1), whole.ring.zero()))
+
+
 def inverse_element(F: FormalGroupLaw, a: RingElement) -> RingElement:
-    """The group inverse of a point: closed form for the exact laws."""
-    if F.name == "additive":
-        return -a
-    if F.name == "multiplicative":
-        # solve a + y - a y = 0
-        one = a.ring.wrap(a.ring.one())
-        return -(a * (one - a).inverse())
-    return inverse_series(F).eval_elements({X: a})
+    """The group inverse of a point: -a / (1 + c a) for x + y + c xy."""
+    c = xy_coefficient(F)
+    if c is None:
+        return inverse_series(F).eval_elements({X: a})
+    # solve a + y + c a y = 0
+    return -a if c.is_zero() else -(a * (1 + c * a).inverse())
 
 
 def n_series(F: FormalGroupLaw, k: int) -> MultiSeries:
@@ -289,11 +302,12 @@ def n_series(F: FormalGroupLaw, k: int) -> MultiSeries:
 
 
 def n_series_element(F: FormalGroupLaw, k: int, a: RingElement) -> RingElement:
-    """[k](a) for a ring element, via closed forms for the exact laws."""
+    """[k](a) for a ring element, via closed forms for x + y and x + y - xy."""
     ring = a.ring
-    if F.name == "additive":
+    c = xy_coefficient(F)
+    if c is not None and c.is_zero():
         return ring.wrap(ring.mul(ring.from_int(k), a.data))
-    if F.name == "multiplicative":
+    if c is not None and c == -1:
         one = ring.wrap(ring.one())
         return one - (one - a) ** k
     if k < 0:
@@ -362,7 +376,7 @@ def transport(F: FormalGroupLaw, theta: MultiSeries) -> Isomorphism:
     tiy = theta_inv.rename_vars({X: Y}).lift_to((X, Y))
     inner = F.law.substitute({X: tix, Y: tiy})
     law = theta.substitute({X: inner})
-    target = from_series(law, exact=False, name="transported")
+    target = from_series(law, name="transported")
     return Isomorphism(
         theta=theta,
         theta_inv=theta_inv,

@@ -685,7 +685,3 @@ def divide_by_var(f: MultiSeries) -> MultiSeries:
 def series(ring: Ring, vars: Iterable[str], trunc: int, terms=None) -> MultiSeries:
     """Public constructor normalizing arbitrary coefficient inputs."""
     return MultiSeries(ring, tuple(vars), trunc, terms or {})
-
-
-def variable(ring: Ring, vars: Iterable[str], trunc: int, name: str) -> MultiSeries:
-    return series(ring, vars, trunc).var(name)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .coefficients import PowerSeries, Rationals
 from .equivariant import EqBundle, EquivariantContext, bundle, euler_class
 from .errors import NonConvergentError, NotAUnitError
+from .fgl import xy_coefficient
 from .polyseries import MultiSeries, divide_by_var, series
 from .tate import sigma_in_x, sine_series
 
@@ -164,6 +165,7 @@ def stabilize(
     if q_order < 0:
         raise ValueError("q_order must be nonnegative")
     trunc = T.context.law.trunc if x_trunc is None else x_trunc
+    c = xy_coefficient(T.context.law)
     roots = _root_blocks(T.bundle)
     vars_ = T.bundle.root_vars()
 
@@ -176,7 +178,7 @@ def stabilize(
         return 0, series(Rationals(), (), 0).one()
 
     if normalization == "sine":
-        if T.context.law.name != "additive":
+        if c != 0:
             raise NonConvergentError(
                 "sine normalization needs the additive law"
             )
@@ -191,7 +193,7 @@ def stabilize(
 
     if normalization != "sigma":
         raise ValueError(f"unknown normalization {normalization!r}")
-    if T.context.law.name != "multiplicative":
+    if c != -1:
         raise NonConvergentError(
             "sigma normalization needs the multiplicative law"
         )

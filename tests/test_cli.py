@@ -370,28 +370,35 @@ def test_negative_cutoff_exit_two(capsys, argv):
     assert err.splitlines() == ["InputError: cutoff must be nonnegative"]
 
 
-NEGATIVE_QORDER_ARGV = [
-    ["euler", "--law", "ga", "--blocks", "x:1:1", "--qorder", "-3"],
-    ["euler", "--law", "gm", "--qorder", "-16", "--N", "1"],
-    ["genus", "loop", "--manifold", "cp2", "--law", "gm", "--N", "2", "--qorder", "-40"],
-    ["sigma", "--qorder", "-3"],
-    ["theta", "--law", "gm", "--qorder", "-2"],
-    ["tower", "stabilize", "--law", "gm", "--blocks", "x:0:1", "--qorder", "-4"],
-]
+NEGATIVE_FLAG_ARGV = {
+    "euler-ga": ["euler", "--law", "ga", "--blocks", "x:1:1", "--qorder", "-3"],
+    "euler-gm": ["euler", "--law", "gm", "--qorder", "-16", "--N", "1"],
+    "genus-loop-gm": ["genus", "loop", "--manifold", "cp2", "--law", "gm", "--N", "2", "--qorder", "-40"],
+    "sigma": ["sigma", "--qorder", "-3"],
+    "theta-gm": ["theta", "--law", "gm", "--qorder", "-2"],
+    "tower-stabilize": ["tower", "stabilize", "--law", "gm", "--blocks", "x:0:1", "--qorder", "-4"],
+    "tate-samples": ["tate", "exact-seq", "--samples", "-1"],
+    "theta-ga-trunc": ["theta", "--law", "ga", "--trunc", "-2"],
+    "tower-trunc": ["tower", "transition", "--trunc", "-1"],
+}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    NEGATIVE_QORDER_ARGV,
-    ids=["euler-ga", "euler-gm", "genus-loop-gm", "sigma", "theta-gm", "tower-stabilize"],
-)
+@pytest.mark.parametrize("argv", NEGATIVE_FLAG_ARGV.values(), ids=NEGATIVE_FLAG_ARGV.keys())
 def test_negative_qorder_exit_two(capsys, argv):
+    # --qorder, and every other order or count flag, rejects a negative
+    # value under its own name
+    flag, value = next((f, v) for f, v in zip(argv, argv[1:]) if v.startswith("-") and v[1:].isdigit())
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.splitlines() == [
-        f"InputError: --qorder must be nonnegative, got {argv[argv.index('--qorder') + 1]}"
-    ]
+    assert err.splitlines() == [f"InputError: {flag} must be nonnegative, got {value}"]
+
+
+@pytest.mark.parametrize("token", ["1", "x,1/2"])
+def test_malformed_tate_point_names_the_flag(capsys, token):
+    code, out, err = invoke(capsys, "tate", "mul", "--x", token)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"InputError: --x: expected 'c,a' with an integer c, got {token!r}"]
 
 
 @pytest.mark.parametrize(

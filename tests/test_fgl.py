@@ -14,6 +14,7 @@ from fglcalc.errors import (
     RationalsRequiredError,
 )
 from fglcalc.fgl import (
+    FormalGroupLaw,
     _associative_by_substitution,
     additive_law,
     check_law_axioms,
@@ -21,6 +22,7 @@ from fglcalc.fgl import (
     fgl_log,
     from_log,
     from_series,
+    inverse_element,
     inverse_series,
     is_homomorphism,
     law_apply,
@@ -149,6 +151,20 @@ def test_n_series_element_exact_closed_form():
     assert n_series_element(Fa, 7, a).data == Fraction(7, 3)
 
 
+@pytest.mark.parametrize("c", [0, -1, 2])
+def test_closed_forms_follow_the_polynomial_not_the_name(c):
+    # an unnamed law kept whole as x + y + c xy inverts a point with a
+    # nonzero constant part in closed form, where the inverse series
+    # cannot be evaluated
+    s = series(QQ, ("x", "y"), 4)
+    x, y = s.var("x"), s.var("y")
+    whole = x + y + s.const(c) * x * y
+    F = FormalGroupLaw(whole, whole=whole)
+    a = QQ.el(Fraction(1, 3))
+    assert law_apply(F, a, inverse_element(F, a)) == 0
+    assert law_apply(F, n_series_element(F, -2, a), n_series_element(F, 2, a)) == 0
+
+
 def test_n_series_element_without_closed_form_matches_n_series():
     # a transported law has no closed form, so [k](a) runs the doubling
     # chain of law_apply on elements (and the inverse series for k < 0)
@@ -227,7 +243,7 @@ def test_homomorphism_frobenius_mod_p():
 def test_from_series_marks_inexact():
     c = series(QQ, ("x", "y"), 5)
     x, y = c.var("x"), c.var("y")
-    F = from_series(x + y - x * y, exact=False, name="")
+    F = from_series(x + y - x * y)
     assert not F.exact
     assert n_series(F, 3).coefficient([1]) == 3
 

@@ -49,3 +49,14 @@ def test_witten_expansion():
     assert r.returncode == 0, r.stderr
     # header, column titles, and one row per power of q
     assert len(r.stdout.splitlines()) == 2 + 9
+
+
+def test_loop_compare_matches_the_cli(capsys):
+    from fglcalc.cli import run
+
+    for law in ("ga", "gm"):
+        argv = ["--manifold", "cp2", "--law", law, "--N", "3"]
+        r = run_script("loop_compare.py", *argv)
+        assert r.returncode == 0, r.stderr
+        assert run(["genus", "loop", *argv]) == 0
+        assert r.stdout.splitlines()[1].strip() == capsys.readouterr().out.strip()
