@@ -314,6 +314,7 @@ def loop_context(law: str, dim: int, N: int, qorder: int) -> EquivariantContext:
     exact where they are expected to be: see the loop genus notes in
     genus.py."""
     _nonnegative_arg(qorder, "--qorder")
+    _nonnegative_arg(N, "--N")
     if law == "ga":
         order, tail = 2 * dim + 2, 4 * dim + 4 + 2 * N
     else:
@@ -365,7 +366,7 @@ def _cmd_fgl(a) -> tuple[int, dict]:
         except LawAxiomError as e:
             return 1, {"kind": "report", "ok": False, "reason": str(e)}
         return 0, {"kind": "report", "ok": True}
-    F = _law_arg(a.law, ring, a.trunc)
+    F = _law_arg(a.law, ring, _nonnegative_arg(a.trunc, "--trunc"))
     if a.action == "construct":
         return 0, series_document(F.law)
     if a.action == "validate":
@@ -385,6 +386,7 @@ def _cmd_fgl(a) -> tuple[int, dict]:
 
 
 def _cmd_quotient(a) -> tuple[int, dict]:
+    _nonnegative_arg(a.trunc, "--trunc")
     if a.case == "mu3":
         # cube roots of unity adjoined to Q: z^2 = -1 - z
         ring = quotient_ring(
@@ -419,6 +421,7 @@ def _cmd_quotient(a) -> tuple[int, dict]:
 
 def _cmd_theta(a) -> tuple[int, dict]:
     _nonnegative_arg(a.qorder, "--qorder")
+    _nonnegative_arg(a.N, "--N")
     if a.law == "gm":
         raw, normalized = theta_multiplicative_L(a.N, a.qorder)
         return 0, {
@@ -492,6 +495,7 @@ def _cmd_tate(a) -> tuple[int, dict]:
 
 
 def _cmd_euler(a) -> tuple[int, dict]:
+    _nonnegative_arg(a.trunc, "--trunc")
     ctx = loop_context(a.law, a.trunc, a.N, a.qorder)
     V = bundle(ctx, _parse_blocks(a.blocks))
     e = euler_class(V, a.trunc)
@@ -571,7 +575,7 @@ def _cmd_tower(a) -> tuple[int, dict]:
                 return 1, {"kind": "report", "ok": False, "stage": n}
         return 0, {"kind": "report", "ok": True, "stages": a.n}
     if a.action == "relative":
-        return 0, series_document(relative_omega(T, a.N, a.trunc))
+        return 0, series_document(relative_omega(T, _nonnegative_arg(a.N, "--N"), a.trunc))
     if a.action == "stabilize":
         n_st, s = stabilize(T, a.qorder, a.normalization, a.trunc)
         return 0, {

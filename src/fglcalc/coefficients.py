@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
@@ -948,6 +948,23 @@ class LaurentPolynomials(_SeriesLike):
 Relation = Optional[tuple[int, tuple[tuple[tuple[int, ...], Payload], ...]]]
 
 _REDUCTION_CAP = 100_000
+_GEOMETRIC_CAP = 256
+
+
+def _composition_length(ring: Ring) -> Optional[int]:
+    """The composition length of a field or domain (1) or of Z/m (the
+    number of prime factors of m with multiplicity); None otherwise."""
+    if isinstance(ring, (Rationals, GaussianRationals, Integers)):
+        return 1
+    if isinstance(ring, IntegersMod):
+        m, length, p = ring.modulus, 0, 2
+        while p * p <= m:
+            while m % p == 0:
+                m //= p
+                length += 1
+            p += 1
+        return length + (m > 1)
+    return None
 
 
 @dataclass(frozen=True)
@@ -963,6 +980,9 @@ class QuotientRing(Ring):
     base: Ring
     gens: tuple[str, ...]
     relations: tuple[Relation, ...]
+    # the reduced product of each pair of monomials met so far: the
+    # ring's structure constants, filled lazily and left out of ==
+    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.gens) != len(self.relations):
@@ -1030,22 +1050,43 @@ class QuotientRing(Ring):
     def neg(self, a):
         return {exps: self.base.neg(c) for exps, c in a.items()}
 
+    def _monomial_product(self, e1, e2) -> tuple:
+        """The reduced form of the product of two monomials, as a tuple
+        of (exponents, structure constant) pairs, where None stands for
+        one; filled into the ring's memo on first use."""
+        exps = tuple(map(operator.add, e1, e2))
+        if all(map(operator.lt, exps, self._caps)):
+            terms = ((exps, None),)
+        else:
+            one = self.base.one()
+            reduced = self._reduce({exps: one})
+            terms = tuple((e, None if c == one else c) for e, c in reduced.items())
+        self._products[e1, e2] = terms
+        return terms
+
+    @cached_property
+    def _caps(self) -> tuple:
+        """Each generator's exponent cap, infinite for a free one."""
+        return tuple(math.inf if rel is None else rel[0] for rel in self.relations)
+
     def mul(self, a, b):
-        # over Q the pairs run on integers, as in the series products
-        a, b, bmul, badd, bzero, finish = self.base.product_kernel(a, b)
-        raw: dict[tuple[int, ...], Payload] = {}
+        # each pair of monomials reads its reduced product from the memo,
+        # so a product never runs the rewrite system again
+        bmul, badd, bzero = self.base.mul, self.base.add, self.base.is_zero
+        get_product = self._products.get
+        out: dict[tuple[int, ...], Payload] = {}
+        get = out.get
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                exps = tuple(map(operator.add, e1, e2))
+                terms = get_product((e1, e2))
+                if terms is None:
+                    terms = self._monomial_product(e1, e2)
                 p = bmul(c1, c2)
-                prev = raw.get(exps)
-                if prev is not None:
-                    p = badd(prev, p)
-                if bzero(p):
-                    raw.pop(exps, None)
-                else:
-                    raw[exps] = p
-        return self._reduce(finish(raw))
+                for e, s in terms:
+                    t = p if s is None else bmul(p, s)
+                    prev = get(e)
+                    out[e] = t if prev is None else badd(prev, t)
+        return {e: c for e, c in out.items() if not bzero(c)}
 
     def invert(self, a):
         zero_exps = self._zero_exps()
@@ -1059,12 +1100,29 @@ class QuotientRing(Ring):
             s = self.neg(self.mul(inv_const, rest))
             acc = self.one()
             power = self.one()
-            for _ in range(256):
+            for _ in range(self._nilpotency_bound()):
                 power = self.mul(power, s)
                 if not power:
                     return self.mul(inv_const, acc)
                 acc = self.add(acc, power)
         return self._invert_by_linear_solve(a)
+
+    def _nilpotency_bound(self) -> int:
+        """A k such that every nilpotent s has s^k = 0.
+
+        Right multiplication by s is linear on the module spanned by the
+        n normal monomials.  If s^j = 0 for some j, it is nilpotent on
+        the cyclic submodule spanned by 1, s, s^2, ...; that submodule
+        has length at most n*l, where l is the composition length of the
+        base, so s^(n*l) = 0.  l is 1 over a field or a domain (a domain
+        embeds in its fraction field) and the number of prime factors of
+        m over Z/m.  An infinite basis or another base keeps the cap of
+        256."""
+        basis = self._monomial_basis()
+        length = _composition_length(self.base)
+        if basis is None or length is None:
+            return _GEOMETRIC_CAP
+        return min(len(basis) * length, _GEOMETRIC_CAP)
 
     def _monomial_basis(self) -> Optional[list[tuple[int, ...]]]:
         caps = []

@@ -447,3 +447,78 @@ def witten_eisenstein_oracle(dim, q_order):
             for j in range(Q + 1):
                 total[i][j] += power[i][j] / math.factorial(m)
     return {j: total[H][j] for j in range(Q + 1) if total[H][j] != 0}
+
+
+# polynomial quotient rings: payloads {exponent tuple: base payload} of a
+# ring with a base and relations[i] = None (free) or (cap, replacement),
+# read only through those attributes and the base's own operations: the
+# reference for QuotientRing.mul and QuotientRing.invert
+
+
+def q_reduce(ring, data):
+    """Rewrite every monomial with g_i^cap_i -> replacement_i until no
+    exponent reaches its cap, one work list for the whole payload."""
+    base = ring.base
+    out = {}
+    work = list(data.items())
+    while work:
+        exps, coeff = work.pop()
+        if base.is_zero(coeff):
+            continue
+        for i, rel in enumerate(ring.relations):
+            if rel is not None and exps[i] >= rel[0]:
+                cap, repl = rel
+                rest = list(exps)
+                rest[i] -= cap
+                for r_exps, r_coeff in repl:
+                    new_exps = tuple(x + y for x, y in zip(rest, r_exps))
+                    work.append((new_exps, base.mul(coeff, r_coeff)))
+                break
+        else:
+            s = base.add(out[exps], coeff) if exps in out else coeff
+            if base.is_zero(s):
+                out.pop(exps, None)
+            else:
+                out[exps] = s
+    return out
+
+
+def q_mul_then_reduce(ring, a, b):
+    """The product as every pair of terms, then one reduction of the sum."""
+    base = ring.base
+    raw = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            p = base.mul(ca, cb)
+            raw[e] = base.add(raw[e], p) if e in raw else p
+    return q_reduce(ring, raw)
+
+
+def q_invert_geometric(ring, a, steps=256):
+    """1/a by the geometric series on the non-constant part, tried for
+    a fixed number of products, then the ring's own linear solve in its
+    monomial basis; products by q_mul_then_reduce."""
+    base = ring.base
+    zero_exps = (0,) * len(ring.gens)
+    const = a.get(zero_exps, base.zero())
+    rest = {e: c for e, c in a.items() if e != zero_exps}
+    if not rest:
+        return {zero_exps: base.invert(const)}
+    if not base.is_zero(const) and base.is_unit(const):
+        inv_const = {zero_exps: base.invert(const)}
+        s = {e: base.neg(c) for e, c in q_mul_then_reduce(ring, inv_const, rest).items()}
+        one = {zero_exps: base.one()}
+        acc, power = one, one
+        for _ in range(steps):
+            power = q_mul_then_reduce(ring, power, s)
+            if not power:
+                return q_mul_then_reduce(ring, inv_const, acc)
+            acc = dict(acc)
+            for e, c in power.items():
+                t = base.add(acc[e], c) if e in acc else c
+                if base.is_zero(t):
+                    acc.pop(e, None)
+                else:
+                    acc[e] = t
+    return ring._invert_by_linear_solve(a)

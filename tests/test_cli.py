@@ -364,10 +364,11 @@ NEGATIVE_CUTOFF_ARGV = [
     "argv", NEGATIVE_CUTOFF_ARGV, ids=["theta-gm", "theta-ga", "genus-loop-gm", "euler-gm"]
 )
 def test_negative_cutoff_exit_two(capsys, argv):
+    # the cutoff is the --N flag, and the reason names the flag
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.splitlines() == ["InputError: cutoff must be nonnegative"]
+    assert err.splitlines() == ["InputError: --N must be nonnegative, got -1"]
 
 
 NEGATIVE_FLAG_ARGV = {
@@ -380,6 +381,18 @@ NEGATIVE_FLAG_ARGV = {
     "tate-samples": ["tate", "exact-seq", "--samples", "-1"],
     "theta-ga-trunc": ["theta", "--law", "ga", "--trunc", "-2"],
     "tower-trunc": ["tower", "transition", "--trunc", "-1"],
+    "fgl-construct-trunc": ["fgl", "construct", "--trunc", "-1"],
+    "fgl-log-trunc": ["fgl", "log", "--trunc", "-1"],
+    "fgl-nseries-trunc": ["fgl", "nseries", "--trunc", "-1"],
+    "fgl-transport-trunc": ["fgl", "transport", "--trunc", "-1"],
+    "euler-trunc": ["euler", "--trunc", "-1"],
+    "euler-ga-trunc": ["euler", "--law", "ga", "--trunc", "-1"],
+    "quotient-mu3-trunc": ["quotient", "--case", "mu3", "--trunc", "-1"],
+    "quotient-additive-trunc": ["quotient", "--case", "additive", "--trunc", "-1"],
+    "genus-loop-N": ["genus", "loop", "--N", "-1"],
+    "genus-loop-vs-quotient-N": ["genus", "loop-vs-quotient", "--N", "-1"],
+    "euler-N": ["euler", "--N", "-1"],
+    "tower-relative-N": ["tower", "relative", "--N", "-1"],
 }
 
 
@@ -411,6 +424,23 @@ def test_malformed_tate_point_names_the_flag(capsys, token):
 )
 def test_qorder_ignored_where_unread(capsys, argv):
     # only commands that read --qorder check it
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus", "loop", "--trunc", "-1"],
+        ["tower", "u", "--N", "-1"],
+        ["fgl", "construct", "--N", "-1"],
+        ["theta", "--law", "gm", "--trunc", "-1"],
+    ],
+    ids=["genus-loop-trunc", "tower-u-N", "fgl-N", "theta-gm-trunc"],
+)
+def test_trunc_and_cutoff_ignored_where_unread(capsys, argv):
+    # --trunc and --N are checked only by commands that read them
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert out
