@@ -104,16 +104,27 @@ def series_document(ms: MultiSeries) -> dict:
     }
 
 
+_SERIES_DOCUMENT_SHAPE = (
+    'expected a series document {"vars": [names], "trunc": int, "coeff_ring": '
+    'descriptor, "terms": [{"exponents": [ints], "coeff": text}, ...]}'
+)
+
+
 def parse_series_document(doc: dict) -> MultiSeries:
+    """A series from its document.  Another shape is a ValueError that
+    states the expected one; a bad ring or coefficient gives its own."""
     try:
-        ring = parse_ring(doc["coeff_ring"])
-        terms = {
-            tuple(int(e) for e in t["exponents"]): ring.parse(t["coeff"])
-            for t in doc["terms"]
-        }
-        return MultiSeries(ring, tuple(doc["vars"]), int(doc["trunc"]), terms)
-    except (TypeError, AttributeError, IndexError) as exc:
-        raise ValueError(f"malformed series document: {exc}") from exc
+        vars_, trunc = tuple(doc["vars"]), int(doc["trunc"])
+        descriptor = doc["coeff_ring"]
+        raw = [(tuple(map(int, t["exponents"])), t["coeff"]) for t in doc["terms"]]
+    except (KeyError, TypeError, AttributeError, IndexError, ValueError):
+        raise ValueError(_SERIES_DOCUMENT_SHAPE) from None
+    try:
+        ring = parse_ring(descriptor)
+        terms = {e: ring.parse(c) for e, c in raw}
+    except (TypeError, AttributeError):  # a descriptor or coefficient not text
+        raise ValueError(_SERIES_DOCUMENT_SHAPE) from None
+    return MultiSeries(ring, vars_, trunc, terms)
 
 
 def element_document(el: RingElement) -> dict:
@@ -243,12 +254,17 @@ def parse_manifold(token: str, json_blocks: str | None = None) -> ChernData:
 
 
 def _parse_blocks(spec: str):
+    """The blocks of --blocks; another shape is bad input for the flag."""
     blocks = []
     for chunk in spec.split(","):
-        root, weight, mult = chunk.strip().split(":")
-        blocks.append(
-            (None if root == "none" else root, int(weight), int(mult))
-        )
+        try:
+            root, weight, mult = chunk.strip().split(":")
+            blocks.append((None if root == "none" else root, int(weight), int(mult)))
+        except ValueError:
+            raise ValueError(
+                "--blocks: expected root:weight:multiplicity blocks separated "
+                f"by commas, with integer weight and multiplicity, got {chunk!r}"
+            ) from None
     return blocks
 
 
@@ -360,7 +376,12 @@ def _parse_tate_point(group: TateGroup, token: str, flag: str) -> TatePoint:
 def _cmd_fgl(a) -> tuple[int, dict]:
     ring = _ring_arg(a.ring)
     if a.action == "validate" and a.terms:
-        ms = parse_series_document(json.loads(a.terms))
+        try:
+            ms = parse_series_document(json.loads(a.terms))
+        except json.JSONDecodeError as e:
+            raise ValueError(f"--terms: not JSON ({e})") from None
+        except ValueError as e:
+            raise ValueError(f"--terms: {e}") from None
         try:
             check_law_axioms(ms)
         except LawAxiomError as e:
@@ -448,23 +469,13 @@ def _cmd_sigma(a) -> tuple[int, dict]:
 
 def _cmd_tate(a) -> tuple[int, dict]:
     group = _tate_group(a.artin, a.law)
-    if a.action == "mul":
+    if a.action in ("mul", "inv"):
         x = _parse_tate_point(group, a.x, "--x")
-        y = _parse_tate_point(group, a.y, "--y")
-        z = group.mul(x, y)
-        return 0, {
-            "kind": "report",
-            "g": element_document(z.g),
-            "a": str(z.a),
-        }
-    if a.action == "inv":
-        x = _parse_tate_point(group, a.x, "--x")
-        z = group.inv(x)
-        return 0, {
-            "kind": "report",
-            "g": element_document(z.g),
-            "a": str(z.a),
-        }
+        if a.action == "mul":
+            z = group.mul(x, _parse_tate_point(group, a.y, "--y"))
+        else:
+            z = group.inv(x)
+        return 0, {"kind": "report", "g": element_document(z.g), "a": str(z.a)}
     if a.action == "order":
         x = _parse_tate_point(group, a.x, "--x")
         n = group.torsion_order(x)
@@ -698,7 +709,7 @@ def run(argv=None) -> int:
     except EngineError as e:
         print(f"{e.name}: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         print(f"InputError: {e}", file=sys.stderr)
         return 2
     emit(doc, args.format)

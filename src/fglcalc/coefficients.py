@@ -184,7 +184,7 @@ class Ring:
         raise TypeError(f"cannot build element from {value!r}")
 
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d*[1-9]\d*)?$")  # no zero denominator
 
 
 def _parse_fraction(s: str) -> Fraction:
@@ -408,7 +408,7 @@ class Rationals(Ring):
         return "Q"
 
 
-_GAUSS_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:([+-]\d+(?:/\d+)?)i)?$")
+_GAUSS_RE = re.compile(r"^([+-]?\d+(?:/\d*[1-9]\d*)?)(?:([+-]\d+(?:/\d*[1-9]\d*)?)i)?$")
 
 
 @dataclass(frozen=True)

@@ -268,18 +268,15 @@ def loop_vs_quotient_check(
     """The central comparison: the renormalized loop genus equals the
     plain genus of the law transported along Theta(.; qhat).
 
-    Left side: direct product expansion.  Right side: transport the
-    law along the cutoff theta, rebuild its exponential from the law
-    itself, and evaluate that genus.  Both sides are compared on every
-    stored coefficient: theta_series divides exactly, so a Laurent
-    coefficient window carries no truncation junk to exclude.
+    One theta at x-truncation d + 1 (no higher term reaches a degree-d
+    genus) feeds the loop density and the transport.  Both sides are
+    compared on every stored coefficient: theta_series divides exactly,
+    so a Laurent coefficient window carries no truncation junk.
     """
-    lhs = loop_genus(Xd, context, cutoff)
-
-    law = context.law
-    th = theta_series(context.law, context.qhat, cutoff, law.trunc)
-    iso = transport(law, th.series)
-    rhs = genus_eval(Xd, todd_series_of(iso.target).with_trunc(Xd.dimension))
+    d, law = Xd.dimension, context.law
+    th = theta_series(law, context.qhat, cutoff, d + 1).series
+    lhs = genus_eval(Xd, _loop_density(law, th, d))
+    rhs = genus_eval(Xd, todd_series_of(transport(law, th).target))
     return lhs == rhs
 
 

@@ -7,8 +7,8 @@ localized ring), the isogeny with kernel H is
     f_H(x) = prod over h in H of (x +_F h)
 
 and after dividing by the unit f_H'(0) one gets a strict coordinate
-g_H.  Transporting F along g_H and rescaling by t(x) = f_H'(0) x yields
-the quotient law F/H, with f_H a homomorphism F -> F/H.
+g_H.  Transporting F along f_H = f_H'(0) g_H yields the quotient law
+F/H, with f_H a homomorphism F -> F/H.
 """
 
 from __future__ import annotations
@@ -123,10 +123,8 @@ class QuotientLaw:
 
 
 def quotient_law(H: SubgroupPoints, x_trunc: Optional[int] = None) -> QuotientLaw:
-    """Transport F along g_H, then conjugate by t(x) = f_H'(0) x."""
+    """Transport F along f_H = f_H'(0) g_H."""
     g, lead = lubin_coordinate(H, x_trunc)
     f = g * lead
-    mid = transport(H.law, g).target
-    t = series(H.law.ring, (X,), g.trunc).var(X) * lead
-    final = transport(mid, t).target
-    return QuotientLaw(law=final, isogeny=f, coordinate=g, scale=lead)
+    law = transport(H.law, f).target
+    return QuotientLaw(law=law, isogeny=f, coordinate=g, scale=lead)

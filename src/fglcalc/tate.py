@@ -27,11 +27,10 @@ theta_series and theta_multiplicative_L, divide by their division
 points with the ring's exact divide, which needs no precision headroom
 in the Laurent window they are computed in.
 
-The Tate extension group T(F)(A) consists of pairs (g, a) with g a
-point of F and a in Q cap [0, 1), multiplied with a carry:
-
-    (g, a) (h, b) = (g +_F h, a + b)            if a + b < 1
-                    (g +_F h -_F qhat, a+b-1)   otherwise.
+The Tate group T(F)(A) = (F(A) x Q) / Z(qhat, 1) has the points (g, a)
+with a in Q cap [0, 1).  Its one carry is the reduction rho(x, a) =
+(x +_F [-floor a](qhat), a - floor a): the product is rho(g +_F h, a + b)
+and the inverse rho([-1](g), -a).
 """
 
 from __future__ import annotations
@@ -469,18 +468,10 @@ class TateGroup:
         return TatePoint(self.law.ring.wrap(self.law.ring.zero()), Fraction(0))
 
     def mul(self, p: TatePoint, q: TatePoint) -> TatePoint:
-        s = p.a + q.a
-        g = law_apply(self.law, p.g, q.g)
-        if s < 1:
-            return TatePoint(g, s)
-        g = law_apply(self.law, g, inverse_element(self.law, self.qhat))
-        return TatePoint(g, s - 1)
+        return self.reduce_pair(law_apply(self.law, p.g, q.g), p.a + q.a)
 
     def inv(self, p: TatePoint) -> TatePoint:
-        ig = inverse_element(self.law, p.g)
-        if p.a == 0:
-            return TatePoint(ig, Fraction(0))
-        return TatePoint(law_apply(self.law, ig, self.qhat), 1 - p.a)
+        return self.reduce_pair(inverse_element(self.law, p.g), -p.a)
 
     def power(self, p: TatePoint, n: int) -> TatePoint:
         if n < 0:
@@ -501,12 +492,12 @@ class TateGroup:
         return None
 
     def reduce_pair(self, x: RingElement, a) -> TatePoint:
-        """The middle map of the extension: (x, a) -> (x -F [floor a](qhat), {a})."""
+        """The middle map rho: (x, a) -> (x +_F [-floor a](qhat), a - floor a)."""
         a = Fraction(a)
         m = math.floor(a)
-        shift = n_series_element(self.law, m, self.qhat)
-        g = law_apply(self.law, x, inverse_element(self.law, shift))
-        return TatePoint(g, a - m)
+        if m:
+            x = law_apply(self.law, x, n_series_element(self.law, -m, self.qhat))
+        return TatePoint(x, a - m)
 
 
 @dataclass

@@ -1,9 +1,19 @@
 """Independent oracles: dense list/dict arithmetic over Fraction, no
 imports from the package under test.  Everything here is deliberately
-dumb and direct so that agreement with the engine is evidence."""
+dumb and direct so that agreement with the engine is evidence.
+
+The exception is the last section: earlier composite code paths (the
+Tate group's carry branches, the two-step quotient law), kept as
+references for the single maps that replaced them.  They compose the
+package's law primitives in the earlier way, so agreement checks the
+composition, not the primitives."""
 
 import math
 from fractions import Fraction
+
+from fglcalc.fgl import X, inverse_element, law_apply, n_series_element, transport
+from fglcalc.polyseries import series
+from fglcalc.quotient import lubin_coordinate
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -522,3 +532,43 @@ def q_invert_geometric(ring, a, steps=256):
                 else:
                     acc[e] = t
     return ring._invert_by_linear_solve(a)
+
+
+# earlier composite paths: the Tate carry written per operation, and
+# the quotient law transported in two steps
+
+
+def tate_mul_by_carry_branch(group, p, q):
+    """(g, a)(h, b) = (g +_F h, a + b) if a + b < 1, else
+    ((g +_F h) -_F qhat, a + b - 1), as a (g, a) pair."""
+    s = p.a + q.a
+    g = law_apply(group.law, p.g, q.g)
+    if s < 1:
+        return g, s
+    return law_apply(group.law, g, inverse_element(group.law, group.qhat)), s - 1
+
+
+def tate_inv_by_carry_branch(group, p):
+    """(g, 0)^-1 = ([-1](g), 0) and (g, a)^-1 = ([-1](g) +_F qhat, 1 - a)."""
+    ig = inverse_element(group.law, p.g)
+    if p.a == 0:
+        return ig, Fraction(0)
+    return law_apply(group.law, ig, group.qhat), 1 - p.a
+
+
+def tate_reduce_by_inverted_shift(group, x, a):
+    """(x, a) -> (x -_F [m](qhat), a - m) for m = floor a, subtracting
+    the inverted shift even when m = 0."""
+    a = Fraction(a)
+    m = math.floor(a)
+    shift = n_series_element(group.law, m, group.qhat)
+    return law_apply(group.law, x, inverse_element(group.law, shift)), a - m
+
+
+def quotient_law_two_step(H):
+    """F/H: transport F along g_H = f_H / f_H'(0), then along the linear
+    map t(x) = f_H'(0) x."""
+    g, lead = lubin_coordinate(H)
+    mid = transport(H.law, g).target
+    t = series(H.law.ring, (X,), g.trunc).var(X) * lead
+    return transport(mid, t).target

@@ -476,6 +476,58 @@ def test_malformed_manifold_json_names_the_flag(capsys, text):
     assert lines[0].startswith("InputError: --manifold-json: ")
 
 
+@pytest.mark.parametrize("group", ["euler", "tower"])
+@pytest.mark.parametrize("spec", ["x", "x:1", "x:a:1", "x:1:b", "x:1:1:1", "x:1:1,", ""])
+def test_malformed_blocks_name_the_flag(capsys, group, spec):
+    argv = [group] + (["u"] if group == "tower" else []) + ["--blocks", spec]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "InputError: --blocks: expected root:weight:multiplicity blocks separated "
+        f"by commas, with integer weight and multiplicity, got {spec.split(',')[-1]!r}"
+    ]
+
+
+SERIES_SHAPE = (
+    'expected a series document {"vars": [names], "trunc": int, "coeff_ring": '
+    'descriptor, "terms": [{"exponents": [ints], "coeff": text}, ...]}'
+)
+
+
+def _doc(**changes):
+    doc = {"vars": ["x", "y"], "trunc": 2, "coeff_ring": "Q", "terms": []}
+    return json.dumps({k: v for k, v in {**doc, **changes}.items() if v is not None})
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("{}", SERIES_SHAPE),
+        ("[]", SERIES_SHAPE),
+        ("5", SERIES_SHAPE),
+        (_doc(vars=None), SERIES_SHAPE),
+        (_doc(trunc="two"), SERIES_SHAPE),
+        (_doc(coeff_ring=5), SERIES_SHAPE),
+        (_doc(terms={"0,1": "1"}), SERIES_SHAPE),
+        (_doc(terms=[{"exponents": ["a", 0], "coeff": "1"}]), SERIES_SHAPE),
+        (_doc(terms=[{"coeff": "1"}]), SERIES_SHAPE),
+        ("nope", "not JSON (Expecting value: line 1 column 1 (char 0))"),
+        (_doc(coeff_ring="bogus"), "unknown ring descriptor 'bogus'"),
+        (_doc(terms=[{"exponents": [1, 0], "coeff": "1/0"}]), "not a rational literal: '1/0'"),
+        (
+            _doc(coeff_ring="Q[i]", terms=[{"exponents": [1, 0], "coeff": "1+1/0i"}]),
+            "not a gaussian rational: '1+1/0i'",
+        ),
+    ],
+)
+def test_malformed_terms_name_the_flag(capsys, text, reason):
+    code, out, err = invoke(capsys, "fgl", "validate", "--terms", text)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"InputError: --terms: {reason}"]
+
+
 def test_manifold_json_matches_the_named_manifold(capsys):
     blocks = '[{"var": "h", "top": 2, "roots": [[1, 3]]}]'
     assert invoke(capsys, "genus", "ahat", "--manifold-json", blocks)[:2] == invoke(

@@ -1,5 +1,6 @@
 """Genus evaluation on Chern data, loop-space densities, residue formulas."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from fglcalc.coefficients import (
 )
 from fglcalc.equivariant import additive_context, multiplicative_context
 from fglcalc.errors import NonConvergentError, PoleError, TruncationError
-from fglcalc.fgl import additive_law, multiplicative_law
+from fglcalc.fgl import additive_law, from_series, multiplicative_law
 from fglcalc.genus import (
     ahat_series,
     c1_trivial_block,
@@ -211,6 +212,33 @@ def test_loop_vs_quotient_multiplicative_whole_window():
     # every stored coefficient of the tight window [-3, 6] is compared
     ctx = multiplicative_context(trunc=4, q_order=6, tail=3, unit_bound=3)
     assert loop_vs_quotient_check(cp(2), ctx, 3)
+
+
+def non_exact_ga(trunc, qhat_order):
+    # the additive law re-read from its series: no longer marked exact,
+    # so theta checks the law truncation against the division points
+    ctx = additive_context(trunc=trunc, qhat_order=qhat_order, tail=24, unit_bound=3)
+    return replace(ctx, law=from_series(ctx.law.law))
+
+
+@pytest.mark.parametrize("trunc", (6, 8, 10))
+@pytest.mark.parametrize("qhat_order", (2, 3))
+def test_loop_vs_quotient_non_exact_law(trunc, qhat_order):
+    ctx = non_exact_ga(trunc, qhat_order)
+    assert not ctx.law.exact
+    assert loop_vs_quotient_check(cp(1), ctx, 3)
+    assert loop_vs_quotient_check(cp(2), ctx, 3)
+    assert loop_genus(cp(2), ctx, 3).data == {-2: Fraction(49, 12)}
+
+
+def test_loop_genus_refuses_a_law_too_short():
+    # at qhat-order 4 the division points die only at the fifth power, so
+    # x-degree 3 needs law truncation 3 + 5 - 1 = 7 > 6
+    ctx = non_exact_ga(6, 4)
+    with pytest.raises(TruncationError, match="law truncation 6 too small"):
+        loop_genus(cp(2), ctx, 3)
+    with pytest.raises(TruncationError, match="law truncation 6 too small"):
+        loop_vs_quotient_check(cp(2), ctx, 3)
 
 
 def test_loop_genus_sine_closed_form():

@@ -20,6 +20,8 @@ from fglcalc.quotient import (
     subgroup_check,
 )
 
+from oracles import quotient_law_two_step
+
 QQ = Rationals()
 
 
@@ -111,6 +113,14 @@ def test_additive_p_isogeny_is_additive_endomorphism():
     assert is_homomorphism(f, H.law, H.law)
     with pytest.raises(NotAUnitError):
         quotient_law(H)
+
+
+@pytest.mark.parametrize("trunc", range(9))
+def test_quotient_law_matches_two_step_transport(trunc):
+    # one transport along f_H against transport along g_H, then along
+    # t(x) = f_H'(0) x: the same law, term for term
+    H, _ = cube_roots_subgroup(trunc)
+    assert quotient_law(H).law.law == quotient_law_two_step(H).law
 
 
 def test_quotient_scale_normalizes_derivative():

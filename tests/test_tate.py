@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from fglcalc.coefficients import (
@@ -14,7 +14,7 @@ from fglcalc.coefficients import (
     Rationals,
     quotient_ring,
 )
-from fglcalc.fgl import additive_law, multiplicative_law, n_series_element
+from fglcalc.fgl import additive_law, law_apply, multiplicative_law, n_series_element
 from fglcalc.tate import (
     TateGroup,
     TatePoint,
@@ -30,7 +30,15 @@ from fglcalc.tate import (
     theta_vanishes_at,
 )
 
-from oracles import series_L_window, sigma_in_x_oracle, sigma_oracle, theta_cutoff_oracle
+from oracles import (
+    series_L_window,
+    sigma_in_x_oracle,
+    sigma_oracle,
+    tate_inv_by_carry_branch,
+    tate_mul_by_carry_branch,
+    tate_reduce_by_inverted_shift,
+    theta_cutoff_oracle,
+)
 
 QQ = Rationals()
 
@@ -318,3 +326,70 @@ def test_group_commutes_and_associates(k1, c1, k2, c2, a1, a2):
     assert G.eq(G.mul(p, q), G.mul(q, p))
     r = G.point(R.wrap(e), Fraction(1, 2))
     assert G.eq(G.mul(G.mul(p, q), r), G.mul(p, G.mul(q, r)))
+
+
+# the CLI's Artin rings Z/n[e]/(e^2) with qhat = unit * e, and the prime p
+# of which n is a power, so that g = p k + c e is nilpotent: a formal point
+ARTIN = {"z4": (4, 2, 2), "z8": (8, 2, 2), "z9": (9, 3, 3)}
+
+
+class ShiftByPlusFloor(TateGroup):
+    """A wrong reduction: translates by [+floor a](qhat)."""
+
+    def reduce_pair(self, x, a):
+        a = Fraction(a)
+        m = a.numerator // a.denominator
+        if m:
+            x = law_apply(self.law, x, n_series_element(self.law, m, self.qhat))
+        return TatePoint(x, a - m)
+
+
+def agrees_with_carry_branches(group_class):
+    """reduce_pair, mul and inv of group_class against the carry written
+    per operation, over z4, z8 and z9 with ga and gm, for rational parts
+    in [-3, 3), so that floor a is negative, zero and positive."""
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(
+        lambda a: a < 3
+    )
+
+    # no shrinking: the wrong reduction must fail fast, not minimally
+    @settings(
+        derandomize=True,
+        max_examples=200,
+        database=None,
+        phases=(Phase.explicit, Phase.generate),
+        report_multiple_bugs=False,
+    )
+    @given(
+        st.sampled_from(sorted(ARTIN)),
+        st.sampled_from(("ga", "gm")),
+        st.tuples(st.integers(0, 8), st.integers(0, 8), rationals),
+        st.tuples(st.integers(0, 8), st.integers(0, 8), rationals),
+    )
+    def check(artin, law, u, v):
+        mod, unit, p = ARTIN[artin]
+        G, R = artin_group(mod, unit=unit, law=law)
+        G = group_class(G.law, G.qhat)
+        e = R.gen_payload("e")
+        reduced = []
+        for k, c, a in (u, v):
+            x = R.wrap(R.add(R.from_int(p * k), R.mul(R.from_int(c), e)))
+            got = G.reduce_pair(x, a)
+            assert (got.g, got.a) == tate_reduce_by_inverted_shift(G, x, a)
+            reduced.append(got)
+        P, Q = reduced
+        got = G.mul(P, Q)
+        assert (got.g, got.a) == tate_mul_by_carry_branch(G, P, Q)
+        got = G.inv(P)
+        assert (got.g, got.a) == tate_inv_by_carry_branch(G, P)
+
+    check()
+
+
+def test_tate_ops_agree_with_carry_branches():
+    agrees_with_carry_branches(TateGroup)
+
+
+def test_carry_branch_check_catches_plus_floor_shift():
+    with pytest.raises(AssertionError):
+        agrees_with_carry_branches(ShiftByPlusFloor)
