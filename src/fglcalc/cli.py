@@ -431,6 +431,8 @@ def _cmd_quotient(a) -> tuple[int, dict]:
         return (0 if ok else 1), doc
     if a.case == "additive":
         p = a.p
+        if p < 2:
+            raise ValueError(f"--p must be at least 2, got {p}")
         ring = quotient_ring(IntegersMod(p), ["h"], {"h": None})
         F = additive_law(ring, a.trunc)
         pts = [ring.wrap({}) if k == 0 else ring.wrap({(1,): k}) for k in range(p)]
@@ -567,7 +569,7 @@ def _cmd_tower(a) -> tuple[int, dict]:
     _nonnegative_arg(a.qorder, "--qorder")
     _nonnegative_arg(a.trunc, "--trunc")
     rank = sum(m for _, _, m in _parse_blocks(a.blocks))
-    n_big = max(a.n, a.N, 6)
+    n_big = max(_nonnegative_arg(a.n, "--n"), a.N, 6)
     if a.law == "ga":
         depth = 2 * n_big * (rank + 1) * a.trunc
     else:

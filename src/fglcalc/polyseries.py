@@ -7,10 +7,11 @@ conversions (lift_to, with_trunc, rename_vars) move between them.
 Because truncation by total degree is a ring quotient, arithmetic here
 is exact on the quotient with no window caveats.
 
-series_inverse has no loop of its own: it is one long division, the
-coefficient layer's PowerSeries.invert.  A univariate series is already
-such a payload; with several variables the terms are graded by total
-degree, with homogeneous polynomial coefficients.
+Products and inverses have no loop of their own.  With each term packed
+into one integer key (_pack), truncation by total degree is the order
+of a one-variable series: a product is the coefficient layer's
+PowerSeries.mul, and series_inverse is one long division, its invert,
+over the homogeneous parts when there are several variables.
 
 Substitution f(P_1, ..., P_n) groups the outer terms by the exponent
 of the first variable and recurses: each group with exponent k > 0
@@ -37,9 +38,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional
 
 from .coefficients import (
+    LaurentPolynomials,
     Payload,
     PowerSeries,
-    QuotientRing,
     Ring,
     RingElement,
     add_terms,
@@ -217,37 +218,12 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         self._same_context(other)
-        ring = self.ring
-        trunc = self.trunc
-        t1, t2 = self.terms, other.terms
-        if len(t1) > len(t2):
-            t1, t2 = t2, t1
-        # over Q the pairs run on integers: one denominator per product,
-        # not one gcd per pair
-        t1, t2, mul, add, is_zero, finish = ring.product_kernel(t1, t2)
-        # the longer operand's terms by total degree, lowest first, so
-        # each term of t1 visits only the partners that stay in range
-        buckets: dict[int, list[tuple[Exps, Payload]]] = {}
-        for e2, c2 in t2.items():
-            buckets.setdefault(sum(e2), []).append((e2, c2))
-        by_degree = sorted(buckets.items())
-        out: dict[Exps, Payload] = {}
-        for e1, c1 in t1.items():
-            room = trunc - sum(e1)
-            for d2, partners in by_degree:
-                if d2 > room:
-                    break
-                for e2, c2 in partners:
-                    e = tuple(map(operator.add, e1, e2))
-                    p = mul(c1, c2)
-                    prev = out.get(e)
-                    if prev is not None:
-                        p = add(prev, p)
-                    if is_zero(p):
-                        out.pop(e, None)
-                    else:
-                        out[e] = p
-        return self._make(finish(out))
+        # packed keys make the cut at total degree trunc the order of one
+        # power series (_pack), so the one-variable product runs the pairs
+        n, trunc = len(self.vars), self.trunc
+        kernel = PowerSeries(self.ring, "t", (trunc + 1) ** max(n, 1) - 1)
+        prod = kernel.mul(_pack(self.terms, trunc), _pack(other.terms, trunc))
+        return self._make(_unpack(prod, trunc, n))
 
     __rmul__ = __mul__
 
@@ -444,26 +420,28 @@ class MultiSeries:
     def series_inverse(self) -> "MultiSeries":
         """Multiplicative inverse; the constant term must be a unit.
 
-        One long division through degree trunc.  A univariate series
-        divides as its own payload {e: c}; with more variables the
-        coefficient of t^d is the homogeneous part of degree d, in the
-        polynomial ring over the variables."""
-        n = len(self.vars)
-        if n == 1:
-            ring, payload = self.ring, {e: c for (e,), c in self.terms.items()}
-        else:
-            ring, payload = QuotientRing(self.ring, self.vars, (None,) * n), {}
-            for exps, c in self.terms.items():
-                payload.setdefault(sum(exps), {})[exps] = c
+        One long division through degree trunc, on packed keys
+        (_pack).  With at most one variable the key is the total
+        degree; with more the coefficient of t^d is the homogeneous
+        part of degree d, keyed by the digits below the degree digit."""
+        n, trunc = len(self.vars), self.trunc
+        ring, payload = self.ring, _pack(self.terms, trunc)
+        if n > 1:
+            # homogeneous products of degree <= trunc cannot carry
+            low = (trunc + 1) ** (n - 1)
+            ring, graded = LaurentPolynomials(ring, "z"), {}
+            for key, c in payload.items():
+                graded.setdefault(key // low, {})[key % low] = c
+            payload = graded
         try:
-            inv = PowerSeries(ring, "t", self.trunc).invert(payload)
+            inv = PowerSeries(ring, "t", trunc).invert(payload)
         except NotAUnitError as exc:
             raise NotAUnitError(
                 "series has non-unit constant term, cannot invert"
             ) from exc
-        if n == 1:
-            return self._make({(e,): c for e, c in inv.items()})
-        return self._make({e: c for part in inv.values() for e, c in part.items()})
+        if n > 1:
+            inv = {d * low + r: c for d, part in inv.items() for r, c in part.items()}
+        return self._make(_unpack(inv, trunc, n))
 
     def reversion(self) -> "MultiSeries":
         """Compositional inverse of a univariate series with unit slope.
@@ -620,6 +598,36 @@ def _to_payload(ring: Ring, c) -> Payload:
     if isinstance(c, Fraction):
         return ring.from_fraction(c)
     return c
+
+
+def _pack(terms: Mapping[Exps, Payload], trunc: int) -> dict[int, Payload]:
+    """Each term keyed by the digits, in base B = trunc + 1, of its total
+    degree and then of every exponent but the last.  A product of degree
+    <= trunc adds keys without carry; one above it sums to >= B ** n."""
+    b = trunc + 1
+    out = {}
+    for exps, c in terms.items():
+        key = sum(exps)
+        for e in exps[:-1]:
+            key = key * b + e
+        out[key] = c
+    return out
+
+
+def _unpack(packed: Mapping[int, Payload], trunc: int, n: int) -> dict[Exps, Payload]:
+    """The terms of n variables that _pack keyed as packed."""
+    if n == 0:
+        return {(): c for c in packed.values()}
+    b = trunc + 1
+    out = {}
+    for key, c in packed.items():
+        exps = []
+        for _ in range(n - 1):
+            key, e = divmod(key, b)
+            exps.insert(0, e)
+        exps.append(key - sum(exps))  # key is now the total degree
+        out[tuple(exps)] = c
+    return out
 
 
 def _power(binds: list[MultiSeries], pows: list[list[MultiSeries]], i: int, e: int) -> MultiSeries:

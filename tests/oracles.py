@@ -123,6 +123,23 @@ def m_mul_all_pairs(a, b, trunc, modulus=None):
     return {k: v for k, v in out.items() if v != 0 and sum(k) <= trunc}
 
 
+def m_newton_inverse(a, trunc, modulus=None):
+    """1/a through total degree trunc for a with a unit constant term, by
+    Newton's iteration b <- b (2 - a b) on all-pairs products; each step
+    doubles the number of correct degrees.  Coefficients mod modulus when
+    one is given (ints), else exact (Fractions)."""
+    const = (0,) * len(next(iter(a)))
+    c0 = a[const]
+    b = {const: Fraction(1) / c0 if modulus is None else pow(c0, -1, modulus)}
+    prec = 1
+    while prec <= trunc:
+        prec *= 2
+        correction = {k: -v for k, v in m_mul_all_pairs(a, b, trunc, modulus).items()}
+        correction[const] = correction.get(const, 0) + 2
+        b = m_mul_all_pairs(b, correction, trunc, modulus)
+    return b
+
+
 # one-parameter series as dict[exponent] -> payload over a base ring
 # object, touching only its base operations (mul, add, neg, invert,
 # from_int, is_zero): the reference for the engine's series products and

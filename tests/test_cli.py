@@ -393,6 +393,9 @@ NEGATIVE_FLAG_ARGV = {
     "genus-loop-vs-quotient-N": ["genus", "loop-vs-quotient", "--N", "-1"],
     "euler-N": ["euler", "--N", "-1"],
     "tower-relative-N": ["tower", "relative", "--N", "-1"],
+    "tower-omega-check-n": ["tower", "omega-check", "--n", "-1"],
+    "tower-u-n": ["tower", "u", "--n", "-1"],
+    "tower-transition-n": ["tower", "transition", "--n", "-1"],
 }
 
 
@@ -405,6 +408,16 @@ def test_negative_qorder_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"InputError: {flag} must be nonnegative, got {value}"]
+
+
+@pytest.mark.parametrize("p", ["-3", "0", "1"])
+def test_quotient_modulus_below_two_exit_two(capsys, p):
+    # the additive case reads --p as the modulus of Z/p, and the reason
+    # names the flag, not the ring
+    code, out, err = invoke(capsys, "quotient", "--case", "additive", "--p", p)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"InputError: --p must be at least 2, got {p}"]
 
 
 @pytest.mark.parametrize("token", ["1", "x,1/2"])

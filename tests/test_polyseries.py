@@ -19,7 +19,14 @@ from fglcalc.coefficients import (
 from fglcalc.errors import ConstantTermError, NotAUnitError, RingMismatchError
 from fglcalc.polyseries import series
 
-from oracles import lagrange_reversion, m_mul_all_pairs, newton_inverse, substitute_oracle
+from oracles import (
+    lagrange_reversion,
+    m_mul_all_pairs,
+    m_mul_series_all_pairs,
+    m_newton_inverse,
+    newton_inverse,
+    substitute_oracle,
+)
 
 QQ = Rationals()
 
@@ -279,9 +286,9 @@ def _random_terms(rng, nvars, trunc, count, modulus):
     ids=["Q-xy", "Z/8-xy", "Q-xyz", "Z/8-xyz"],
 )
 def test_mul_matches_all_pairs_product(ring, modulus, vars, trunc):
-    # the degree-bucketed product must give exactly the dict of the
-    # naive product, for operands of unequal length with terms of high
-    # degree that only low-degree partners reach
+    # the product on packed keys must give exactly the dict of the naive
+    # product, for operands of unequal length with terms of high degree
+    # that only low-degree partners reach
     rng = random.Random(f"{ring.descriptor()}{len(vars)}{trunc}")
     for count_a, count_b in ((1, 1), (3, 17), (17, 3), (25, 25)):
         a = series(ring, vars, trunc, _random_terms(rng, len(vars), trunc, count_a, modulus))
@@ -294,6 +301,73 @@ def test_mul_matches_all_pairs_product(ring, modulus, vars, trunc):
     assert ((x + y) * (x - y)).terms == m_mul_all_pairs(
         (x + y).terms, (x - y).terms, trunc, modulus
     )
+
+
+# name: (ring, modulus or None, random nonzero coefficient); powser
+# payloads are checked by the series all-pairs oracle, cut at q^4
+QS4 = PowerSeries(QQ, "q", 4)
+PACKED_RINGS = {
+    "Q": (QQ, None, lambda rng: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))),
+    "Z/8": (IntegersMod(8), 8, lambda rng: rng.randint(1, 7)),
+    "powser(Q;q;4)": (
+        QS4,
+        None,
+        lambda rng: {rng.randint(0, 4): Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 3))},
+    ),
+}
+
+
+def _edge_terms(nvars, trunc):
+    """The terms that sit on the cut: exponent trunc in each variable, and
+    x^a y^b with a + b = trunc, whose digits are all at their largest."""
+    terms = [tuple(trunc if j == i else 0 for j in range(nvars)) for i in range(nvars)]
+    if nvars >= 2:
+        terms += [(a, trunc - a) + (0,) * (nvars - 2) for a in range(trunc + 1)]
+    return terms + [(0,) * nvars]
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 12])
+@pytest.mark.parametrize("nvars", [0, 4])
+@pytest.mark.parametrize("name", list(PACKED_RINGS))
+def test_packed_product_at_the_cut_matches_all_pairs(name, nvars, trunc):
+    # a radix of trunc would carry out of a digit trunc, and a key with
+    # no degree digit would keep x^a y^b * x^c y^d beyond the cut
+    ring, modulus, coeff = PACKED_RINGS[name]
+    rng = random.Random(f"{name}/{nvars}/{trunc}")
+    vars = ("x", "y", "z", "w")[:nvars]
+    edge = _edge_terms(nvars, trunc)
+    for count in (0, 6, 20):
+        extra = list(_random_terms(rng, nvars, trunc, count, None)) if nvars else []
+        exps = [edge, edge[: nvars + 1] + extra]
+        a, b = (series(ring, vars, trunc, {e: coeff(rng) for e in es}) for es in exps)
+        if ring is QS4:
+            want = m_mul_series_all_pairs(a.terms, b.terms, trunc, QS4.order)
+        else:
+            want = m_mul_all_pairs(a.terms, b.terms, trunc, modulus)
+        assert (a * b).terms == want
+        assert (b * a).terms == want
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 5])
+@pytest.mark.parametrize("nvars", [0, 2, 3, 4])
+@pytest.mark.parametrize("modulus", [None, 9], ids=["Q", "Z/9"])
+def test_series_inverse_matches_newton_on_all_pairs(modulus, nvars, trunc):
+    ring = QQ if modulus is None else IntegersMod(modulus)
+    rng = random.Random(f"{modulus}/{nvars}/{trunc}")
+    vars = ("x", "y", "z", "w")[:nvars]
+    terms = _random_terms(rng, nvars, trunc, 12, modulus) if nvars else {}
+    terms.update({e: 1 for e in _edge_terms(nvars, trunc)})
+    terms[(0,) * nvars] = Fraction(-2, 3) if modulus is None else 5
+    f = series(ring, vars, trunc, terms)
+    assert f.series_inverse().terms == m_newton_inverse(f.terms, trunc, modulus)
+
+
+@pytest.mark.parametrize("modulus, y_coeff", [(None, Fraction(1, 2)), (9, 5)], ids=["Q", "Z/9"])
+def test_series_inverse_of_a_dense_bivariate_unit(modulus, y_coeff):
+    # 1 + x + y/2 + 3xy + x^2 - y^3 (5y over Z/9), inverted at trunc 18
+    ring = QQ if modulus is None else IntegersMod(modulus)
+    f = series(ring, ("x", "y"), 18, {(0, 0): 1, (1, 0): 1, (0, 1): y_coeff, (1, 1): 3, (2, 0): 1, (0, 3): -1})
+    assert f.series_inverse().terms == m_newton_inverse(f.terms, 18, modulus)
 
 
 # coefficients whose denominators are pairwise coprime, so a wrong common
